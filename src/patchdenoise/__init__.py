@@ -25,13 +25,9 @@ from .database import (
     save_database_cache,
 )
 from .filters import (
-    LocalPrior,
     PatchEnsemble,
-    SpectralFilter,
     apply_filter,
     group_sparse_basis,
-    l12_norm,
-    local_prior,
     spectrum_bayes,
     spectrum_bm3d_pilot,
     spectrum_lpg,

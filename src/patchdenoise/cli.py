@@ -18,7 +18,8 @@ import numpy as np
 from . import database as dbmod
 from . import oracles
 from .imaging import add_gaussian_noise, read_pgm, write_pgm
-from .pipeline import DenoiseConfig, denoise_image, run_sweep, sweep_to_csv
+from .pipeline import (RULES, SELECTIONS, DenoiseConfig, denoise_image,
+                       run_sweep, sweep_to_csv)
 
 __all__ = ["main", "build_parser"]
 
@@ -29,9 +30,13 @@ def _read_image(path: str) -> np.ndarray:
 
 def _load_db(path: str, patch_size: int, stride: int):
     p = Path(path)
-    if p.is_file():
-        return dbmod.load_database_cache(p)
-    return dbmod.load_database(p, patch_size, stride)
+    if not p.is_file():
+        return dbmod.load_database(p, patch_size, stride)
+    db = dbmod.load_database_cache(p)
+    if db.patch_size != patch_size:
+        raise ValueError(f"{path}: cache patch size {db.patch_size} does not "
+                         f"match --patch-size {patch_size}")
+    return db
 
 
 def _positive_float(text: str) -> float:
@@ -57,14 +62,11 @@ def _add_pipeline_args(sub):
     sub.add_argument("--gamma", type=float, default=0.02)
     sub.add_argument("--h", dest="bandwidth", type=float, default=None,
                      help="similarity bandwidth (default: sigma)")
-    sub.add_argument("--rule", choices=["oracle", "bayes", "bayes_l1", "bayes_l0",
-                                        "bm3d_pilot", "lpg"], default="bayes")
-    sub.add_argument("--selection", choices=["auto", "knn", "cross_similarity",
-                                             "first_pass"], default="auto")
+    sub.add_argument("--rule", choices=RULES, default="bayes")
+    sub.add_argument("--selection", choices=SELECTIONS, default="auto")
     sub.add_argument("--passes", type=int, choices=[1, 2], default=2)
     sub.add_argument("--stride1", type=int, default=6)
     sub.add_argument("--stride2", type=int, default=4)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=int, default=0,
                      help="worker threads (0 = all cores)")
     sub.add_argument("--timing", action="store_true",
@@ -100,6 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated shrinkage rules, e.g. bayes,lpg")
     _add_db_args(sweep)
     _add_pipeline_args(sweep)
+    sweep.add_argument("--seed", type=int, default=0,
+                       help="base seed of the per-cell noise draws")
     sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -134,25 +138,28 @@ def _resolve_threads(requested: int) -> int:
     return os.cpu_count() or 1
 
 
-def cmd_denoise(args) -> int:
-    noisy = _read_image(args.input)
-    db = _load_db(args.db, args.patch_size, args.db_stride)
-    clean = _read_image(args.clean) if args.clean else None
-    cfg = DenoiseConfig(
-        sigma=args.sigma,
+def _config(args, sigma: float, rule: str) -> DenoiseConfig:
+    return DenoiseConfig(
+        sigma=sigma,
         patch_size=args.patch_size,
         stride_pass1=args.stride1,
         stride_pass2=args.stride2,
         k=args.k,
         pool_size=args.pool,
         selection=args.selection,
-        rule=args.rule,
+        rule=rule,
         gamma=args.gamma,
         tau=args.tau,
         bandwidth=args.bandwidth,
-        seed=args.seed,
         passes=args.passes,
     )
+
+
+def cmd_denoise(args) -> int:
+    noisy = _read_image(args.input)
+    db = _load_db(args.db, args.patch_size, args.db_stride)
+    clean = _read_image(args.clean) if args.clean else None
+    cfg = _config(args, args.sigma, args.rule)
     result, report = denoise_image(
         noisy, db, cfg, clean=clean, threads=_resolve_threads(args.threads)
     )
@@ -184,22 +191,8 @@ def cmd_sweep(args) -> int:
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     if not sigmas or not rules:
         raise ValueError("--sigmas and --rules must be nonempty")
-    cfg = DenoiseConfig(
-        sigma=sigmas[0],
-        patch_size=args.patch_size,
-        stride_pass1=args.stride1,
-        stride_pass2=args.stride2,
-        k=args.k,
-        pool_size=args.pool,
-        selection=args.selection,
-        rule=rules[0],
-        gamma=args.gamma,
-        tau=args.tau,
-        bandwidth=args.bandwidth,
-        seed=args.seed,
-        passes=args.passes,
-    )
-    rows = run_sweep(clean, db, cfg, sigmas, rules,
+    cfg = _config(args, sigmas[0], rules[0])
+    rows = run_sweep(clean, db, cfg, sigmas, rules, seed=args.seed,
                      threads=_resolve_threads(args.threads))
     Path(args.out).write_text(sweep_to_csv(rows, include_timing=args.timing))
     total = sum(row["seconds"] for row in rows)

@@ -1,7 +1,7 @@
 """Targeted patch database: construction, search, and selection refinement.
 
-The database is an in-memory (n, d) matrix of clean reference patches with
-per-patch origins. Queries are read-only; a built database is never mutated.
+The database is an in-memory (n, d) matrix of clean reference patches.
+Queries are read-only; a built database is never mutated.
 """
 
 from __future__ import annotations
@@ -38,14 +38,12 @@ _CACHE_MAGIC = b"TDBC\x01\n"
 
 @dataclass(frozen=True)
 class Database:
-    """Clean reference patches with their source locations.
+    """Clean reference patches.
 
     patches: (n_total, d) float64, one row per patch, d = patch_size**2.
-    origins: (n_total, 3) int64 rows of (image_id, row, col).
     """
 
     patches: np.ndarray
-    origins: np.ndarray
     patch_size: int
 
     def __post_init__(self):
@@ -56,8 +54,6 @@ class Database:
                 f"patch dimension {self.patches.shape[1]} != patch_size**2 "
                 f"({self.patch_size}**2)"
             )
-        if len(self.origins) != len(self.patches):
-            raise ValueError("origins and patches must have equal length")
 
     def __len__(self) -> int:
         return len(self.patches)
@@ -73,19 +69,12 @@ def build_database(images, patch_size: int, stride: int) -> Database:
     if not images:
         raise ValueError("need at least one image to build a database")
     chunks = []
-    origins = []
-    for image_id, img in enumerate(images):
+    for img in images:
         img = as_image(img)
         h, w = img.shape
         locs = plan_grid(w, h, patch_size, stride)
         chunks.append(extract_patches(img, locs, patch_size))
-        ids = np.full((len(locs), 1), image_id, dtype=np.int64)
-        origins.append(np.hstack([ids, locs]))
-    return Database(
-        patches=np.vstack(chunks),
-        origins=np.vstack(origins),
-        patch_size=patch_size,
-    )
+    return Database(patches=np.vstack(chunks), patch_size=patch_size)
 
 
 def load_database(directory, patch_size: int, stride: int) -> Database:
@@ -108,8 +97,7 @@ def save_database_cache(db: Database, path) -> None:
 def load_database_cache(path) -> Database:
     """Load a cache written by save_database_cache.
 
-    The cache stores patches only; origins are synthesized with image id -1
-    and the row index in place of coordinates.
+    Rejects a cache that is malformed or holds non-finite patch values.
     """
     data = Path(path).read_bytes()
     if not data.startswith(_CACHE_MAGIC):
@@ -125,15 +113,9 @@ def load_database_cache(path) -> Database:
             f"{path}: payload length {len(payload)} != expected {expected}"
         )
     patches = np.frombuffer(payload, dtype="<f8").reshape(n_total, d).copy()
-    origins = np.stack(
-        [
-            np.full(n_total, -1, dtype=np.int64),
-            np.arange(n_total, dtype=np.int64),
-            np.zeros(n_total, dtype=np.int64),
-        ],
-        axis=1,
-    )
-    return Database(patches=patches, origins=origins, patch_size=patch_size)
+    if not np.all(np.isfinite(patches)):
+        raise ValueError(f"{path}: cache holds non-finite patch values")
+    return Database(patches=patches, patch_size=patch_size)
 
 
 # ---------------------------------------------------------------------------

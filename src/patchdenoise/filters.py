@@ -14,11 +14,7 @@ import numpy as np
 
 __all__ = [
     "PatchEnsemble",
-    "SpectralFilter",
-    "LocalPrior",
-    "l12_norm",
     "group_sparse_basis",
-    "local_prior",
     "spectrum_oracle",
     "spectrum_bayes",
     "spectrum_penalized",
@@ -34,12 +30,10 @@ class PatchEnsemble:
 
     P: (d, k) float64, columns are the selected reference patches.
     weights: (k,) nonnegative, summing to 1.
-    spatial_weights: optional (d,) strictly positive per-pixel emphasis.
     """
 
     P: np.ndarray
     weights: np.ndarray
-    spatial_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.P.ndim != 2 or self.P.shape[1] < 1:
@@ -48,55 +42,19 @@ class PatchEnsemble:
             raise ValueError("weights must have one entry per patch column")
         if np.any(self.weights < 0) or not np.isclose(self.weights.sum(), 1.0):
             raise ValueError("weights must be nonnegative and sum to 1")
-        if self.spatial_weights is not None:
-            if self.spatial_weights.shape != (self.P.shape[0],):
-                raise ValueError("spatial_weights must have one entry per pixel")
-            if np.any(self.spatial_weights <= 0):
-                raise ValueError("spatial_weights must be strictly positive")
-
-
-@dataclass(frozen=True)
-class SpectralFilter:
-    """Orthonormal basis U, eigenvalues s (descending), shrinkage lam."""
-
-    U: np.ndarray
-    s: np.ndarray
-    lam: np.ndarray
-
-
-@dataclass(frozen=True)
-class LocalPrior:
-    """Weighted mean and covariance of the selected reference patches."""
-
-    mu: np.ndarray
-    Sigma: np.ndarray
-
-
-def l12_norm(X) -> float:
-    """Sum of the Euclidean norms of the rows of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return float(np.linalg.norm(X, axis=1).sum())
-
-
-def _second_moment(ens: PatchEnsemble) -> np.ndarray:
-    M = (ens.P * ens.weights[None, :]) @ ens.P.T
-    if ens.spatial_weights is not None:
-        r = np.sqrt(ens.spatial_weights)
-        M = r[:, None] * M * r[None, :]
-    return 0.5 * (M + M.T)  # kill floating-point asymmetry
 
 
 def group_sparse_basis(ens: PatchEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Basis minimizing the l12 norm of the projected patch matrix.
 
-    Eigendecomposes the symmetrized weighted second moment P W P^T (spatial
-    weights applied as W_s^{1/2} P W P^T W_s^{1/2} when present). Returns
+    Eigendecomposes the symmetrized weighted second moment P W P^T. Returns
     (U, s) with eigenvalues sorted descending and clamped at zero.
 
     Each eigenvector's sign is fixed so its largest-magnitude component is
     positive; the filter U diag(lam) U^T is invariant to this choice.
     """
-    M = _second_moment(ens)
+    M = (ens.P * ens.weights[None, :]) @ ens.P.T
+    M = 0.5 * (M + M.T)  # kill floating-point asymmetry
     vals, vecs = np.linalg.eigh(M)
     order = np.argsort(vals, kind="stable")[::-1]
     s = np.maximum(vals[order], 0.0)
@@ -105,18 +63,6 @@ def group_sparse_basis(ens: PatchEnsemble) -> tuple[np.ndarray, np.ndarray]:
     signs = np.sign(U[anchors, np.arange(U.shape[1])])
     signs[signs == 0] = 1.0
     return U * signs[None, :], s
-
-
-def local_prior(ens: PatchEnsemble) -> LocalPrior:
-    """Weighted Gaussian prior fitted to the ensemble.
-
-    mu = sum_j w_j p_j and Sigma = sum_j w_j (p_j - mu)(p_j - mu)^T, so that
-    mu mu^T + Sigma = P W P^T exactly.
-    """
-    mu = ens.P @ ens.weights
-    D = ens.P - mu[:, None]
-    Sigma = (D * ens.weights[None, :]) @ D.T
-    return LocalPrior(mu=mu, Sigma=0.5 * (Sigma + Sigma.T))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +124,9 @@ def spectrum_lpg(U, q, sigma: float) -> np.ndarray:
     return np.clip(_safe_ratio(t - sigma**2, t), 0.0, 1.0)
 
 
-def apply_filter(f: SpectralFilter, q) -> np.ndarray:
+def apply_filter(U, lam, q) -> np.ndarray:
     """Apply U diag(lam) U^T to the patch q."""
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (f.U.shape[0],):
-        raise ValueError(f"patch shape {q.shape} does not match basis {f.U.shape}")
-    return f.U @ (f.lam * (f.U.T @ q))
+    if q.shape != (U.shape[0],):
+        raise ValueError(f"patch shape {q.shape} does not match basis {U.shape}")
+    return U @ (lam * (U.T @ q))

@@ -14,7 +14,10 @@ import numpy as np
 from . import filters
 
 __all__ = [
+    "LocalPrior",
     "VerificationResult",
+    "l12_norm",
+    "local_prior",
     "filter_mse_monte_carlo",
     "filter_mse_expected",
     "bayes_mse",
@@ -26,6 +29,32 @@ __all__ = [
 GRID_STEP = 1e-4
 MC_TRIALS = 200_000
 MC_RTOL = 0.01
+
+
+@dataclass(frozen=True)
+class LocalPrior:
+    """Weighted mean and covariance of the selected reference patches."""
+
+    mu: np.ndarray
+    Sigma: np.ndarray
+
+
+def l12_norm(X) -> float:
+    """Sum of the Euclidean norms of the rows of X."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return float(np.linalg.norm(X, axis=1).sum())
+
+
+def local_prior(ens: filters.PatchEnsemble) -> LocalPrior:
+    """Weighted Gaussian prior fitted to the ensemble.
+
+    mu = sum_j w_j p_j and Sigma = sum_j w_j (p_j - mu)(p_j - mu)^T, so that
+    mu mu^T + Sigma = P W P^T exactly.
+    """
+    mu = ens.P @ ens.weights
+    D = ens.P - mu[:, None]
+    Sigma = (D * ens.weights[None, :]) @ D.T
+    return LocalPrior(mu=mu, Sigma=0.5 * (Sigma + Sigma.T))
 
 
 @dataclass(frozen=True)
@@ -224,9 +253,9 @@ def _check_basis_optimality(seed: int, instances=20, rotations=1000):
     for _ in range(instances):
         ens = _random_ensemble(rng, uniform_weights=True)
         U, _ = filters.group_sparse_basis(ens)
-        ours = filters.l12_norm(U.T @ ens.P)
+        ours = l12_norm(U.T @ ens.P)
         best_other = min(
-            filters.l12_norm(
+            l12_norm(
                 random_orthonormal(ens.P.shape[0], int(rng.integers(2**32))).T @ ens.P
             )
             for _ in range(rotations)
@@ -259,7 +288,7 @@ def _check_prior_identity(seed: int, ensembles=50):
     worst = 0.0
     for _ in range(ensembles):
         ens = _random_ensemble(rng, uniform_weights=False)
-        prior = filters.local_prior(ens)
+        prior = local_prior(ens)
         lhs = np.outer(prior.mu, prior.mu) + prior.Sigma
         rhs = (ens.P * ens.weights[None, :]) @ ens.P.T
         worst = max(

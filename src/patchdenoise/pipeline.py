@@ -3,7 +3,7 @@
 Pass 1 denoises patches selected by plain nearest-neighbor search on a
 coarse grid. Pass 2 re-runs on a finer grid, using the pass-1 output as a
 pilot both for selection refinement and for pilot-based shrinkage rules.
-Given fixed inputs and seed the output is bit-identical, including under
+Given fixed inputs the output is bit-identical, including under
 multi-threaded execution (per-patch work is independent and merged in a
 fixed order).
 """
@@ -57,7 +57,6 @@ class DenoiseConfig:
     gamma: float = 0.02
     tau: float | None = None
     bandwidth: float | None = None
-    seed: int = 0
     passes: int = 2
 
     def __post_init__(self):
@@ -185,7 +184,7 @@ def denoise_patch(q, db, cfg: DenoiseConfig, pilot=None, truth=None) -> np.ndarr
     ens = filters.PatchEnsemble(P=selected.T, weights=weights)
     U, s = filters.group_sparse_basis(ens)
     lam = _shrinkage(cfg, U, s, q, pilot, truth)
-    return filters.apply_filter(filters.SpectralFilter(U=U, s=s, lam=lam), q)
+    return filters.apply_filter(U, lam, q)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +276,18 @@ def cell_seed(seed: int, sigma: float, rule: str) -> int:
 
 
 def run_sweep(clean, db, cfg_base: DenoiseConfig, sigmas, rules,
-              threads: int = 1) -> list[dict]:
+              seed: int = 0, threads: int = 1) -> list[dict]:
     """Denoise fresh noise realizations for each (sigma, rule) cell.
 
-    Each cell derives its own seed from cfg_base.seed, injects noise, runs
-    the pipeline, and records PSNR/SSIM against the clean image.
+    Each cell derives its own noise seed from the base seed, injects noise,
+    runs the pipeline, and records PSNR/SSIM against the clean image.
     """
     clean = as_image(clean)
     rows = []
     for sigma in sigmas:
         for rule in rules:
-            seed = cell_seed(cfg_base.seed, sigma, rule)
-            cfg = dataclasses.replace(cfg_base, sigma=float(sigma), rule=rule,
-                                      seed=seed)
-            noisy = add_gaussian_noise(clean, sigma, seed)
+            cfg = dataclasses.replace(cfg_base, sigma=float(sigma), rule=rule)
+            noisy = add_gaussian_noise(clean, sigma, cell_seed(seed, sigma, rule))
             _, report = denoise_image(noisy, db, cfg, clean=clean, threads=threads)
             rows.append(
                 {

@@ -75,8 +75,8 @@ class TestDenoiseCommand:
         tmp, clean_path, noisy_path, db_dir = workspace
         out1, rep1 = tmp / "a.pgm", tmp / "a.json"
         out2, rep2 = tmp / "b.pgm", tmp / "b.json"
-        assert main(_denoise_args(noisy_path, db_dir, out1, rep1, seed=4)) == 0
-        assert main(_denoise_args(noisy_path, db_dir, out2, rep2, seed=4)) == 0
+        assert main(_denoise_args(noisy_path, db_dir, out1, rep1)) == 0
+        assert main(_denoise_args(noisy_path, db_dir, out2, rep2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert rep1.read_bytes() == rep2.read_bytes()
 
@@ -90,6 +90,29 @@ class TestDenoiseCommand:
         out, report = tmp / "out.pgm", tmp / "rep.json"
         code = main(_denoise_args(noisy_path, cache, out, report))
         assert code == 0
+
+    def test_non_finite_cache_is_usage_error(self, workspace, capsys):
+        from patchdenoise.database import save_database_cache, load_database
+
+        tmp, _, noisy_path, db_dir = workspace
+        db = load_database(db_dir, 4, 1)
+        db.patches[0, 0] = np.nan
+        cache = tmp / "nan.cache"
+        save_database_cache(db, cache)
+        code = main(_denoise_args(noisy_path, cache, tmp / "o.pgm", tmp / "r.json"))
+        assert code == 2
+        assert "nan.cache" in capsys.readouterr().err
+
+    def test_cache_patch_size_mismatch_names_both_sizes(self, workspace, capsys):
+        from patchdenoise.database import save_database_cache, load_database
+
+        tmp, _, noisy_path, db_dir = workspace
+        cache = tmp / "six.cache"
+        save_database_cache(load_database(db_dir, 6, 2), cache)
+        code = main(_denoise_args(noisy_path, cache, tmp / "o.pgm", tmp / "r.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cache patch size 6" in err and "--patch-size 4" in err
 
     def test_db_quality_flag_fills_report(self, workspace):
         tmp, clean_path, noisy_path, db_dir = workspace
@@ -237,6 +260,13 @@ class TestParserBasics:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
+        assert err.value.code == 2
+
+    def test_denoise_has_no_seed(self, workspace):
+        tmp, _, noisy_path, db_dir = workspace
+        args = _denoise_args(noisy_path, db_dir, tmp / "o.pgm", tmp / "r.json")
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--seed", "0"])
         assert err.value.code == 2
 
     def test_unknown_flag_rejected(self):

@@ -31,8 +31,7 @@ from patchdenoise.imaging import plan_grid, write_pgm
 
 def _random_db(rng, n=50, d=16, scale=10.0):
     patches = scale * rng.standard_normal((n, d))
-    origins = np.zeros((n, 3), dtype=np.int64)
-    return Database(patches=patches, origins=origins, patch_size=int(np.sqrt(d)))
+    return Database(patches=patches, patch_size=int(np.sqrt(d)))
 
 
 class TestBuildDatabase:
@@ -46,8 +45,6 @@ class TestBuildDatabase:
         db = build_database([img, img], 8, 4)
         half = len(db) // 2
         np.testing.assert_array_equal(db.patches[:half], db.patches[half:])
-        assert set(db.origins[:half, 0]) == {0}
-        assert set(db.origins[half:, 0]) == {1}
 
     def test_count_matches_grid_sizes(self, rng):
         sizes = [(301, 218), (250, 199), (288, 204), (310, 200), (299, 217),
@@ -62,11 +59,13 @@ class TestBuildDatabase:
             build_database([], 8, 4)
 
     def test_origins_record_locations(self, rng):
-        img = rng.random((14, 14)) * 255
-        db = build_database([img], 8, 6)
-        for patch, (image_id, r, c) in zip(db.patches, db.origins):
-            assert image_id == 0
-            np.testing.assert_array_equal(patch, img[r : r + 8, c : c + 8].ravel())
+        # Rows follow image order, then plan_grid order within each image.
+        images = [rng.random((14, 14)) * 255, rng.random((20, 17)) * 255]
+        db = build_database(images, 8, 6)
+        expected = [img[r : r + 8, c : c + 8].ravel()
+                    for img in images
+                    for r, c in plan_grid(img.shape[1], img.shape[0], 8, 6)]
+        np.testing.assert_array_equal(db.patches, np.array(expected))
 
 
 class TestCacheRoundTrip:
@@ -90,6 +89,15 @@ class TestCacheRoundTrip:
         save_database_cache(db, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
+            load_database_cache(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_patches_rejected(self, tmp_path, rng, bad):
+        db = _random_db(rng)
+        db.patches[3, 5] = bad
+        path = tmp_path / "patches.cache"
+        save_database_cache(db, path)
+        with pytest.raises(ValueError, match="patches.cache.*non-finite"):
             load_database_cache(path)
 
 
@@ -135,8 +143,7 @@ class TestKnn:
     def test_ties_break_by_lower_index(self):
         patch = np.ones(4)
         patches = np.vstack([patch, patch * 2, patch, patch])
-        db = Database(patches=patches, origins=np.zeros((4, 3), np.int64),
-                      patch_size=2)
+        db = Database(patches=patches, patch_size=2)
         np.testing.assert_array_equal(knn(db, patch, 3), [0, 2, 3])
 
     def test_k_out_of_range_rejected(self, rng):
@@ -243,8 +250,7 @@ class TestFirstPassRefinement:
         zeros = np.zeros((1, 4))
         far = np.full((1, 4), 100.0)
         patches = np.vstack([far, zeros, zeros, zeros])
-        db = Database(patches=patches, origins=np.zeros((4, 3), np.int64),
-                      patch_size=2)
+        db = Database(patches=patches, patch_size=2)
         q = np.full(4, 1.0)
         pbar = np.full(4, 2.0)
         np.testing.assert_array_equal(
@@ -262,8 +268,7 @@ class TestFirstPassRefinement:
         close = truth + 0.5 * rng.standard_normal((30, d))
         decoys = truth + 4.0 * rng.standard_normal((30, d))
         patches = np.vstack([close, decoys])
-        db = Database(patches=patches, origins=np.zeros((60, 3), np.int64),
-                      patch_size=4)
+        db = Database(patches=patches, patch_size=4)
         q = truth + sigma * rng.standard_normal(d)
         pilot = truth + 0.3 * rng.standard_normal(d)
         ki = knn(db, q, 10)
@@ -316,8 +321,7 @@ class TestDatabaseQuality:
         assert database_quality(db, img) == 0.0
 
     def test_constant_image_against_zero_patch(self):
-        db = Database(patches=np.zeros((1, 64)), origins=np.zeros((1, 3), np.int64),
-                      patch_size=8)
+        db = Database(patches=np.zeros((1, 64)), patch_size=8)
         img = np.full((12, 12), 7.0)
         assert database_quality(db, img) == pytest.approx(7.0, rel=1e-12)
 
@@ -340,10 +344,8 @@ class TestDatabaseQuality:
         img = rng.random((12, 12)) * 255
         base = 255 * rng.random((20, 16))
         extra = 255 * rng.random((10, 16))
-        small = Database(patches=base, origins=np.zeros((20, 3), np.int64),
-                         patch_size=4)
-        big = Database(patches=np.vstack([base, extra]),
-                       origins=np.zeros((30, 3), np.int64), patch_size=4)
+        small = Database(patches=base, patch_size=4)
+        big = Database(patches=np.vstack([base, extra]), patch_size=4)
         assert database_quality(big, img) <= database_quality(small, img)
 
     def test_patch_size_mismatch_rejected(self, rng):

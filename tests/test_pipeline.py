@@ -38,8 +38,7 @@ def tiny_scene():
 class TestDenoisePatchContracts:
     def test_rank_one_self_database(self, rng):
         q = rng.standard_normal(16) * 20
-        db = Database(patches=q[None, :].copy(),
-                      origins=np.zeros((1, 3), np.int64), patch_size=4)
+        db = Database(patches=q[None, :].copy(), patch_size=4)
         sigma = 5.0
         cfg = _tiny_cfg(sigma=sigma, k=1, pool_size=1)
         phat = denoise_patch(q, db, cfg)
@@ -49,44 +48,38 @@ class TestDenoisePatchContracts:
     def test_huge_sigma_shrinks_to_zero(self, rng):
         q = rng.standard_normal(16) * 20
         patches = q[None, :] + rng.standard_normal((30, 16))
-        db = Database(patches=patches, origins=np.zeros((30, 3), np.int64),
-                      patch_size=4)
+        db = Database(patches=patches, patch_size=4)
         phat = denoise_patch(q, db, _tiny_cfg(sigma=1e9, k=8))
         assert np.linalg.norm(phat) <= 1e-6 * np.linalg.norm(q)
 
     def test_duplicated_truth_contracts_toward_signal(self, rng):
         truth = rng.standard_normal(16) * 30
         sigma = 2.0
-        db = Database(patches=np.tile(truth, (10, 1)),
-                      origins=np.zeros((10, 3), np.int64), patch_size=4)
+        db = Database(patches=np.tile(truth, (10, 1)), patch_size=4)
         q = truth + sigma * rng.standard_normal(16)
         phat = denoise_patch(q, db, _tiny_cfg(sigma=sigma, k=8, pool_size=10))
         assert np.linalg.norm(phat - truth) <= np.linalg.norm(q - truth)
 
     def test_first_pass_selection_requires_pilot(self, rng):
-        db = Database(patches=rng.standard_normal((30, 16)),
-                      origins=np.zeros((30, 3), np.int64), patch_size=4)
+        db = Database(patches=rng.standard_normal((30, 16)), patch_size=4)
         cfg = _tiny_cfg(selection="first_pass")
         with pytest.raises(ValueError, match="pilot"):
             denoise_patch(rng.standard_normal(16), db, cfg)
 
     def test_pilot_rule_requires_pilot(self, rng):
-        db = Database(patches=rng.standard_normal((30, 16)),
-                      origins=np.zeros((30, 3), np.int64), patch_size=4)
+        db = Database(patches=rng.standard_normal((30, 16)), patch_size=4)
         cfg = _tiny_cfg(rule="bm3d_pilot")
         with pytest.raises(ValueError, match="pilot"):
             denoise_patch(rng.standard_normal(16), db, cfg)
 
     def test_oracle_rule_requires_truth(self, rng):
-        db = Database(patches=rng.standard_normal((30, 16)),
-                      origins=np.zeros((30, 3), np.int64), patch_size=4)
+        db = Database(patches=rng.standard_normal((30, 16)), patch_size=4)
         cfg = _tiny_cfg(rule="oracle")
         with pytest.raises(ValueError, match="clean|true"):
             denoise_patch(rng.standard_normal(16), db, cfg)
 
     def test_database_smaller_than_k_rejected(self, rng):
-        db = Database(patches=rng.standard_normal((5, 16)),
-                      origins=np.zeros((5, 3), np.int64), patch_size=4)
+        db = Database(patches=rng.standard_normal((5, 16)), patch_size=4)
         with pytest.raises(ValueError):
             denoise_patch(rng.standard_normal(16), db, _tiny_cfg(k=8, pool_size=8))
 
@@ -260,6 +253,12 @@ class TestSweep:
         rows2 = run_sweep(clean, db, _tiny_cfg(), sigmas=[15.0, 25.0],
                           rules=["bayes", "lpg"])
         assert sweep_to_csv(rows2) == csv_text
+
+    def test_base_seed_selects_noise(self, tiny_scene):
+        clean, db = tiny_scene
+        rows = [run_sweep(clean, db, _tiny_cfg(), sigmas=[20.0], rules=["bayes"],
+                          seed=seed)[0] for seed in (0, 0, 1)]
+        assert rows[0]["psnr"] == rows[1]["psnr"] != rows[2]["psnr"]
 
     def test_cell_seeds_stable_and_distinct(self):
         assert cell_seed(0, 20.0, "bayes") == cell_seed(0, 20.0, "bayes")
