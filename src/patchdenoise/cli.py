@@ -8,6 +8,7 @@ timings go to stderr and only enter output files with --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -62,7 +63,6 @@ def _add_pipeline_args(sub):
     sub.add_argument("--gamma", type=float, default=0.02)
     sub.add_argument("--h", dest="bandwidth", type=float, default=None,
                      help="similarity bandwidth (default: sigma)")
-    sub.add_argument("--rule", choices=RULES, default="bayes")
     sub.add_argument("--selection", choices=SELECTIONS, default="auto")
     sub.add_argument("--passes", type=int, choices=[1, 2], default=2)
     sub.add_argument("--stride1", type=int, default=6)
@@ -78,11 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="patchdenoise",
         description="Patch-based denoising with a targeted reference database.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    # Exact flags only: as a prefix, sweep's `--rule` would silently mean `--rules`.
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=exact)
 
     denoise = commands.add_parser("denoise", help="denoise a noisy PGM image")
     denoise.add_argument("--input", required=True, help="noisy input PGM")
     denoise.add_argument("--sigma", type=_positive_float, required=True)
+    denoise.add_argument("--rule", choices=RULES, default="bayes")
     _add_db_args(denoise)
     _add_pipeline_args(denoise)
     denoise.add_argument("--clean", help="clean reference PGM for metrics")
@@ -238,8 +241,6 @@ def cmd_quality(args) -> int:
 
 def cmd_noise(args) -> int:
     img = _read_image(args.input)
-    if args.sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {args.sigma}")
     noisy = add_gaussian_noise(img, args.sigma, args.seed)
     Path(args.out).write_bytes(write_pgm(noisy))
     if args.report:

@@ -227,26 +227,17 @@ def compute_weights(q, selected, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def database_quality(db: Database, clean, patch_size: int | None = None) -> float:
+def database_quality(db: Database, clean) -> float:
     """Average distance from the clean image's stride-1 patches to the database.
 
     For each of the m dense patches p_i of the clean image, take the minimum
     Euclidean distance to any database patch, normalized by sqrt(d); return
     the mean over i. Zero iff every clean patch appears in the database.
     """
-    if patch_size is None:
-        patch_size = db.patch_size
-    if patch_size != db.patch_size:
-        raise ValueError(
-            f"patch_size {patch_size} does not match database ({db.patch_size})"
-        )
     clean = as_image(clean)
     h, w = clean.shape
-    if h < patch_size or w < patch_size:
-        raise ValueError("clean image admits no patches at this patch size")
-    windows = np.lib.stride_tricks.sliding_window_view(clean, (patch_size, patch_size))
-    dense = windows.reshape(-1, patch_size * patch_size)
-    d = patch_size * patch_size
+    dense = extract_patches(clean, plan_grid(w, h, db.patch_size, 1), db.patch_size)
+    d = db.patches.shape[1]
     # Nearest neighbors located via the Gram expansion (BLAS speed), then the
     # winning distances recomputed directly so exact matches report exactly 0.
     db_sq = np.einsum("ij,ij->i", db.patches, db.patches)

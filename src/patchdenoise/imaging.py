@@ -188,10 +188,15 @@ def extract_patches(img, locs, patch_size: int) -> np.ndarray:
     """Extract many patches at once; returns an (N, patch_size**2) array."""
     img = as_image(img)
     locs = np.asarray(locs, dtype=np.int64)
-    out = np.empty((len(locs), patch_size * patch_size), dtype=np.float64)
-    for i, (r, c) in enumerate(locs):
-        out[i] = img[r : r + patch_size, c : c + patch_size].ravel()
-    return out
+    rows, cols = locs[:, 0], locs[:, 1]
+    h, w = img.shape
+    # Checked up front: fancy indexing would silently wrap a negative location.
+    bad = (rows < 0) | (cols < 0) | (rows + patch_size > h) | (cols + patch_size > w)
+    if bad.any():
+        r, c = (int(v) for v in locs[np.argmax(bad)])
+        raise ValueError(f"patch at {(r, c)} size {patch_size} exceeds image {h}x{w}")
+    windows = np.lib.stride_tricks.sliding_window_view(img, (patch_size, patch_size))
+    return windows[rows, cols].reshape(len(locs), patch_size * patch_size)
 
 
 def aggregate(estimates, width: int, height: int) -> np.ndarray:

@@ -61,8 +61,8 @@ def local_prior(ens: filters.PatchEnsemble) -> LocalPrior:
 class VerificationResult:
     """Outcome of one verifier: measured vs reference at a tolerance.
 
-    mode is "abs" or "rel"; passed is True iff the deviation between
-    measured and reference stays within tolerance under that mode.
+    reference is always 0.0 and mode always "abs": passed is True iff
+    |measured| stays within tolerance.
     """
 
     name: str
@@ -78,19 +78,16 @@ class VerificationResult:
         return asdict(self)
 
 
-def _result(name, measured, reference, tolerance, mode, trials, seed):
+def _result(name, measured, tolerance, trials, seed):
+    """Every check measures a worst-case deviation from zero."""
     measured = float(measured)
-    reference = float(reference)
-    deviation = abs(measured - reference)
-    if mode == "rel":
-        deviation /= max(abs(reference), np.finfo(float).tiny)
     return VerificationResult(
         name=name,
         measured=measured,
-        reference=reference,
+        reference=0.0,
         tolerance=tolerance,
-        mode=mode,
-        passed=bool(deviation <= tolerance),
+        mode="abs",
+        passed=bool(abs(measured) <= tolerance),
         trials=trials,
         seed=seed,
     )
@@ -112,8 +109,7 @@ def filter_mse_monte_carlo(U, lam, p, sigma, trials: int, seed: int) -> float:
 def filter_mse_expected(U, lam, p, sigma) -> float:
     """Closed-form expected MSE: sum (1-lam_i)^2 (u_i^T p)^2 + sigma^2 lam_i^2."""
     a = np.asarray(U, dtype=np.float64).T @ np.asarray(p, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    return float(np.sum((1.0 - lam) ** 2 * a**2 + sigma**2 * lam**2))
+    return bayes_mse(a**2, lam, sigma)
 
 
 def bayes_mse(g, lam, sigma) -> float:
@@ -189,9 +185,7 @@ def _check_mc_identity(seed: int, instances=20, sigmas=(10.0, 50.0, 100.0)):
             )
             worst = max(worst, abs(measured - expected) / expected)
             n += 1
-    return _result(
-        "filter-mse-monte-carlo", worst, 0.0, MC_RTOL, "abs", n * MC_TRIALS, seed
-    )
+    return _result("filter-mse-monte-carlo", worst, MC_RTOL, n * MC_TRIALS, seed)
 
 
 def _check_oracle_dominance(seed: int, instances=20, alternatives=1000):
@@ -205,7 +199,9 @@ def _check_oracle_dominance(seed: int, instances=20, alternatives=1000):
         U0 = random_orthonormal(d, int(rng.integers(2**32)))
         # The optimal pair: first basis vector aligned with p, top shrinkage
         # ||p||^2/(||p||^2 + sigma^2), everything else zeroed.
-        U_opt = _orthonormal_with_first_column(p / np.linalg.norm(p), U0)
+        u1 = p / np.linalg.norm(p)
+        U_opt = np.linalg.qr(np.column_stack([u1, U0]))[0]
+        U_opt[:, 0] = u1
         lam_opt = filters.spectrum_oracle(U_opt, p, sigma)
         best = filter_mse_expected(U_opt, lam_opt, p, sigma)
         for j in range(alternatives):
@@ -222,7 +218,7 @@ def _check_oracle_dominance(seed: int, instances=20, alternatives=1000):
             worst = max(worst, best - filter_mse_expected(U, lam, p, sigma))
     # One-sided optimality: report the violation amount, clamped at zero.
     return _result(
-        "oracle-filter-dominance", max(worst, 0.0), 0.0, 1e-9, "abs",
+        "oracle-filter-dominance", max(worst, 0.0), 1e-9,
         instances * alternatives, seed,
     )
 
@@ -241,9 +237,7 @@ def _check_oracle_grid(seed: int, instances=20):
         for i in range(d):
             lam_grid = grid_min_shrinkage(a2[i], sigma, 0.0, 1, GRID_STEP)
             worst = max(worst, abs(lam[i] - lam_grid))
-    return _result(
-        "oracle-shrinkage-grid", worst, 0.0, GRID_STEP, "abs", instances * 8, seed
-    )
+    return _result("oracle-shrinkage-grid", worst, GRID_STEP, instances * 8, seed)
 
 
 def _check_basis_optimality(seed: int, instances=20, rotations=1000):
@@ -262,7 +256,7 @@ def _check_basis_optimality(seed: int, instances=20, rotations=1000):
         )
         worst = max(worst, ours - best_other)
     return _result(
-        "basis-group-sparsity-optimality", max(worst, 0.0), 0.0, 1e-9, "abs",
+        "basis-group-sparsity-optimality", max(worst, 0.0), 1e-9,
         instances * rotations, seed,
     )
 
@@ -279,7 +273,7 @@ def _check_bayes_grid(seed: int, pairs=50, bayes_rule=None):
         lam = float(np.asarray(bayes_rule(np.array([s]), sigma))[0])
         lam_grid = grid_min_shrinkage(s, sigma, 0.0, 1, GRID_STEP)
         worst = max(worst, abs(lam - lam_grid))
-    return _result("bayes-shrinkage-grid", worst, 0.0, GRID_STEP, "abs", pairs, seed)
+    return _result("bayes-shrinkage-grid", worst, GRID_STEP, pairs, seed)
 
 
 def _check_prior_identity(seed: int, ensembles=50):
@@ -294,9 +288,7 @@ def _check_prior_identity(seed: int, ensembles=50):
         worst = max(
             worst, np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300)
         )
-    return _result(
-        "prior-second-moment-identity", worst, 0.0, 1e-10, "abs", ensembles, seed
-    )
+    return _result("prior-second-moment-identity", worst, 1e-10, ensembles, seed)
 
 
 def _check_penalized_grid(seed: int, triples=100):
@@ -322,9 +314,7 @@ def _check_penalized_grid(seed: int, triples=100):
         )
         lam_grid = grid_min_shrinkage(s, sigma, gamma, alpha, GRID_STEP)
         worst = max(worst, abs(lam - lam_grid))
-    return _result(
-        "penalized-shrinkage-grid", worst, 0.0, GRID_STEP, "abs", len(cases), seed
-    )
+    return _result("penalized-shrinkage-grid", worst, GRID_STEP, len(cases), seed)
 
 
 def verify_all(seed: int = 0, bayes_rule=None) -> list[VerificationResult]:
@@ -344,21 +334,3 @@ def verify_all(seed: int = 0, bayes_rule=None) -> list[VerificationResult]:
         _check_prior_identity(int(seeds[5])),
         _check_penalized_grid(int(seeds[6])),
     ]
-
-
-def _orthonormal_with_first_column(u1: np.ndarray, helper: np.ndarray) -> np.ndarray:
-    """Complete u1 (unit norm) to an orthonormal basis using helper columns."""
-    d = u1.size
-    basis = [u1]
-    for j in range(helper.shape[1]):
-        v = helper[:, j].copy()
-        for b in basis:
-            v -= (b @ v) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis.append(v / norm)
-        if len(basis) == d:
-            break
-    if len(basis) != d:
-        raise RuntimeError("failed to complete orthonormal basis")
-    return np.column_stack(basis)

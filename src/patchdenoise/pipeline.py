@@ -77,11 +77,13 @@ class DenoiseConfig:
             raise ValueError(f"passes must be 1 or 2, got {self.passes}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if self.tau is not None and not self.tau >= 0:  # NaN fails too
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if self.bandwidth is not None and not self.bandwidth > 0:
+            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
 
     def resolved_bandwidth(self) -> float:
         if self.bandwidth is not None:
-            if self.bandwidth <= 0:
-                raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
             return self.bandwidth
         return dbmod.default_bandwidth(self.sigma)
 

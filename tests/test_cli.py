@@ -1,5 +1,7 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -64,6 +66,13 @@ class TestDenoiseCommand:
             main(["denoise", "--input", str(noisy_path), "--db", str(db_dir),
                   "--sigma", "-1"])
         assert err.value.code == 2
+
+    def test_negative_tau_is_usage_error(self, workspace, capsys):
+        tmp, _, noisy_path, db_dir = workspace
+        code = main(_denoise_args(noisy_path, db_dir, tmp / "o.pgm",
+                                  tmp / "r.json", tau=-1))
+        assert code == 2
+        assert "tau must be >= 0" in capsys.readouterr().err
 
     def test_missing_input_file_is_io_error(self, workspace):
         tmp, _, _, db_dir = workspace
@@ -170,17 +179,34 @@ class TestSweepCommand:
         assert main(self._args(clean_path, db_dir, out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_rule_flag_rejected(self, workspace):
+        # sweep reads only --rules; neither an unread --rule nor a prefix may pass.
+        tmp, clean_path, _, db_dir = workspace
+        args = self._args(clean_path, db_dir, tmp / "sweep.csv")
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--rule", "lpg"])
+        assert err.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def verify_run(tmp_path_factory):
+    """One default `verify --json` run: exit code, stdout, parsed JSON."""
+    path = tmp_path_factory.mktemp("verify") / "results.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--json", str(path)])
+    return code, out.getvalue(), json.loads(path.read_text())
+
 
 class TestVerifyCommand:
-    def test_default_run_passes(self, tmp_path, capsys):
-        assert main(["verify"]) == 0
-        captured = capsys.readouterr()
-        assert "PASS" in captured.out
+    def test_default_run_passes(self, verify_run):
+        code, out, _ = verify_run
+        assert code == 0
+        assert "PASS" in out
 
-    def test_json_output_schema(self, tmp_path):
-        path = tmp_path / "results.json"
-        assert main(["verify", "--json", str(path)]) == 0
-        results = json.loads(path.read_text())
+    def test_json_output_schema(self, verify_run):
+        code, _, results = verify_run
+        assert code == 0
         assert isinstance(results, list) and results
         for entry in results:
             assert {"name", "measured", "reference", "tolerance",

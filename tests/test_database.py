@@ -348,11 +348,6 @@ class TestDatabaseQuality:
         big = Database(patches=np.vstack([base, extra]), patch_size=4)
         assert database_quality(big, img) <= database_quality(small, img)
 
-    def test_patch_size_mismatch_rejected(self, rng):
-        db = _random_db(rng)
-        with pytest.raises(ValueError):
-            database_quality(db, np.zeros((16, 16)), patch_size=8)
-
 
 class TestParameterSchedules:
     def test_first_pass_tau_switchover(self):

@@ -1,5 +1,7 @@
 """Image handling: PGM codec, noise injection, grids, patch round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -158,11 +160,18 @@ class TestPatchExtraction:
         np.testing.assert_array_equal(patch.reshape(4, 4), img[3:7, 5:9])
 
     def test_extract_patches_matches_single(self, rng):
-        img = rng.random((16, 16))
-        locs = plan_grid(16, 16, 8, 4)
-        batch = extract_patches(img, locs, 8)
-        for row, loc in zip(batch, locs):
-            np.testing.assert_array_equal(row, extract_patch(img, loc, 8))
+        for h, w, side in [(16, 16, 8), (11, 17, 4)]:
+            img = rng.random((h, w))
+            locs = plan_grid(w, h, side, side // 2)
+            batch = extract_patches(img, locs, side)
+            for row, loc in zip(batch, locs):
+                np.testing.assert_array_equal(row, extract_patch(img, loc, side))
+
+    @pytest.mark.parametrize("loc", [(-1, 0), (0, -2), (5, 0), (0, 9)])
+    def test_extract_patches_names_out_of_bounds_location(self, loc):
+        # (4, 8) is the last in-bounds 4x4 location in an 8x12 image.
+        with pytest.raises(ValueError, match=re.escape(f"patch at {loc}")):
+            extract_patches(np.zeros((8, 12)), [(4, 8), loc], 4)
 
 
 class TestAggregate:

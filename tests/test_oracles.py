@@ -140,16 +140,21 @@ class TestRandomOrthonormal:
             random_orthonormal(0, 1)
 
 
+@pytest.fixture(scope="module")
+def default_battery():
+    """One verify_all(0) run, shared by the tests that only read it."""
+    return verify_all(0)
+
+
 class TestVerifyAll:
-    def test_default_battery_passes(self):
-        results = verify_all(0)
+    def test_default_battery_passes(self, default_battery):
+        results = default_battery
         assert len(results) == 7
         assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
-    def test_repeat_run_identical_measurements(self):
-        a = verify_all(3)
-        b = verify_all(3)
-        assert [r.measured for r in a] == [r.measured for r in b]
+    def test_repeat_run_identical_measurements(self, default_battery):
+        again = verify_all(0)
+        assert [r.measured for r in again] == [r.measured for r in default_battery]
 
     def test_corrupted_shrinkage_rule_detected(self):
         corrupted = lambda s, sigma: filters.spectrum_bayes(s, sigma) + 0.1
@@ -159,9 +164,8 @@ class TestVerifyAll:
         others = [r for r in results if r.name != "bayes-shrinkage-grid"]
         assert all(r.passed for r in others)
 
-    def test_results_serialize(self):
-        result = verify_all(1)[0]
-        payload = result.to_dict()
+    def test_results_serialize(self, default_battery):
+        payload = default_battery[0].to_dict()
         assert set(payload) == {
             "name", "measured", "reference", "tolerance", "mode", "passed",
             "trials", "seed",

@@ -98,6 +98,12 @@ class TestConfigValidation:
             DenoiseConfig(sigma=10.0, passes=3)
         with pytest.raises(ValueError):
             DenoiseConfig(sigma=10.0, gamma=-1.0)
+        for tau in (-5.0, float("nan")):
+            with pytest.raises(ValueError, match="tau"):
+                DenoiseConfig(sigma=10.0, tau=tau)
+        for bandwidth in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="bandwidth"):
+                DenoiseConfig(sigma=10.0, bandwidth=bandwidth)
 
     def test_auto_schedules_resolve(self):
         cfg = DenoiseConfig(sigma=50.0)
