@@ -42,8 +42,8 @@ def _load_db(path: str, patch_size: int, stride: int):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < value < np.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .imaging import as_image, extract_patches, plan_grid, read_pgm
 
@@ -134,7 +134,21 @@ def _query_distances(db: Database, q: np.ndarray) -> np.ndarray:
 
 
 def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest values; ties broken by lower index."""
+    """Indices of the k smallest values; ties broken by lower index.
+
+    Returns exactly np.argsort(values, kind="stable")[:k] for every input,
+    ties, infinities and NaN included, without sorting all of values: the
+    k-th smallest value bounds the candidates, which are taken in index
+    order and stable-sorted. NaN can leave fewer than k candidates; that
+    case, and k outside [1, len(values)), uses the full stable sort.
+    """
+    values = np.asarray(values)
+    if 1 <= k < len(values):
+        kth = np.partition(values, k - 1)[k - 1]
+        candidates = np.flatnonzero(values <= kth)
+        if len(candidates) >= k:
+            order = np.argsort(values[candidates], kind="stable")[:k]
+            return candidates[order]
     return np.argsort(values, kind="stable")[:k]
 
 
@@ -180,7 +194,9 @@ def refine_cross_similarity(
     and keeps the k smallest scores. tau = 0 reduces to plain knn.
     """
     pool, c = _candidate_pool(db, q, pool_size, k)
-    B = cdist(db.patches[pool], db.patches[pool])
+    # pdist computes each pair once; (a-b)**2 == (b-a)**2 exactly, so B is
+    # bit-identical to cdist(rows, rows).
+    B = squareform(pdist(db.patches[pool]))
     scores = cross_similarity_scores(c, B, tau)
     # Score ties break by lower database index, not by pool position.
     return pool[np.lexsort((pool, scores))[:k]]

@@ -40,7 +40,10 @@ class PatchEnsemble:
             raise ValueError("P must be a (d, k) matrix with k >= 1")
         if self.weights.shape != (self.P.shape[1],):
             raise ValueError("weights must have one entry per patch column")
-        if np.any(self.weights < 0) or not np.isclose(self.weights.sum(), 1.0):
+        # np.isclose(sum, 1.0)'s default tolerances, without its per-call
+        # overhead; a NaN sum fails the comparison.
+        w = self.weights
+        if w.min() < 0 or not abs(w.sum() - 1.0) <= 1e-8 + 1e-5:
             raise ValueError("weights must be nonnegative and sum to 1")
 
 

@@ -60,8 +60,10 @@ class DenoiseConfig:
     passes: int = 2
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0 for denoising, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:  # NaN fails too
+            raise ValueError(
+                f"sigma must be finite and > 0 for denoising, got {self.sigma}"
+            )
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}; choose from {RULES}")
         if self.selection not in SELECTIONS:

@@ -67,6 +67,18 @@ class TestDenoiseCommand:
                   "--sigma", "-1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_sigma_is_usage_error(self, workspace, capsys, sigma):
+        tmp, _, noisy_path, db_dir = workspace
+        out = tmp / "o.pgm"
+        args = _denoise_args(noisy_path, db_dir, out, tmp / "r.json")
+        args[args.index("--sigma") + 1] = sigma
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_tau_is_usage_error(self, workspace, capsys):
         tmp, _, noisy_path, db_dir = workspace
         code = main(_denoise_args(noisy_path, db_dir, tmp / "o.pgm",

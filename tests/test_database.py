@@ -8,6 +8,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from patchdenoise.database import (
     Database,
@@ -160,7 +163,52 @@ class TestKnn:
             knn(db, np.zeros(db.patches.shape[1] + 1), 3)
 
 
+class TestKSmallest:
+    # Small integers tie often; signed zeros, infinities and NaN are the
+    # values a partial selection can get wrong.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.integers(-3, 3).map(float),
+            st.sampled_from([-0.0, np.inf, -np.inf, np.nan]),
+        ),
+        min_size=1, max_size=40,
+    ))
+    def test_matches_full_stable_sort(self, values):
+        values = np.array(values)
+        expected = np.argsort(values, kind="stable")
+        for k in range(1, len(values) + 1):
+            np.testing.assert_array_equal(k_smallest(values, k), expected[:k])
+
+
+def _cross_similarity_with_cdist(db, q, m, k, tau):
+    # The pool-pair matrix from cdist, which computes every pair twice.
+    dists = cdist(q[None, :], db.patches)[0]
+    pool = np.argsort(dists, kind="stable")[:m]
+    B = cdist(db.patches[pool], db.patches[pool])
+    scores = cross_similarity_scores(dists[pool], B, tau)
+    return pool[np.lexsort((pool, scores))[:k]], scores
+
+
 class TestCrossSimilarityRefinement:
+    def test_pool_matrix_matches_cdist_bitwise(self, rng):
+        X = 100.0 * rng.standard_normal((200, 64))
+        np.testing.assert_array_equal(squareform(pdist(X)), cdist(X, X))
+
+    def test_matches_cdist_reference_with_score_ties(self, rng):
+        # Every row appears about four times, so duplicates tie on both the
+        # query distance and the column sum.
+        base = np.round(10.0 * rng.standard_normal((12, 16)))
+        db = Database(patches=base[rng.integers(0, 12, 48)], patch_size=4)
+        for tau in (0.0, 0.05, 1.0):
+            for _ in range(5):
+                q = np.round(10.0 * rng.standard_normal(16))
+                expected, scores = _cross_similarity_with_cdist(db, q, 30, 9, tau)
+                assert len(np.unique(scores)) < len(scores)
+                np.testing.assert_array_equal(
+                    refine_cross_similarity(db, q, 30, 9, tau), expected
+                )
+
     def test_tau_zero_equals_knn(self, rng):
         db = _random_db(rng, n=60)
         q = 10.0 * rng.standard_normal(db.patches.shape[1])

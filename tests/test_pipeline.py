@@ -86,8 +86,9 @@ class TestDenoisePatchContracts:
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            DenoiseConfig(sigma=0.0)
+        for sigma in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="sigma"):
+                DenoiseConfig(sigma=sigma)
         with pytest.raises(ValueError):
             DenoiseConfig(sigma=10.0, rule="nonsense")
         with pytest.raises(ValueError):
