@@ -8,8 +8,10 @@ timings go to stderr and only enter output files with --timing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -23,6 +25,9 @@ from .pipeline import (RULES, SELECTIONS, DenoiseConfig, denoise_image,
                        run_sweep, sweep_to_csv)
 
 __all__ = ["main", "build_parser"]
+
+# Field name -> default of every DenoiseConfig setting (sigma has none).
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(DenoiseConfig)}
 
 
 def _read_image(path: str) -> np.ndarray:
@@ -40,33 +45,31 @@ def _load_db(path: str, patch_size: int, stride: int):
     return db
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < np.inf:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
+def _setting(sub, flag: str, field: str, **kwargs):
+    """Add a flag that sets DenoiseConfig.<field>, with the field's default."""
+    sub.add_argument(flag, dest=field, default=_DEFAULTS[field], **kwargs)
 
 
 def _add_db_args(sub):
     sub.add_argument("--db", required=True,
                      help="directory of .pgm files, or a database cache file")
-    sub.add_argument("--patch-size", type=int, default=8)
+    _setting(sub, "--patch-size", "patch_size", type=int)
     sub.add_argument("--db-stride", type=int, default=4,
                      help="grid stride used when building the database")
 
 
 def _add_pipeline_args(sub):
-    sub.add_argument("--k", type=int, default=40)
-    sub.add_argument("--pool", type=int, default=200)
-    sub.add_argument("--tau", type=float, default=None,
-                     help="selection penalty weight (default: noise schedule)")
-    sub.add_argument("--gamma", type=float, default=0.02)
-    sub.add_argument("--h", dest="bandwidth", type=float, default=None,
-                     help="similarity bandwidth (default: sigma)")
-    sub.add_argument("--selection", choices=SELECTIONS, default="auto")
-    sub.add_argument("--passes", type=int, choices=[1, 2], default=2)
-    sub.add_argument("--stride1", type=int, default=6)
-    sub.add_argument("--stride2", type=int, default=4)
+    _setting(sub, "--k", "k", type=int)
+    _setting(sub, "--pool", "pool_size", type=int)
+    _setting(sub, "--tau", "tau", type=float,
+             help="selection penalty weight (default: noise schedule)")
+    _setting(sub, "--gamma", "gamma", type=float)
+    _setting(sub, "--h", "bandwidth", type=float,
+             help="similarity bandwidth (default: sigma)")
+    _setting(sub, "--selection", "selection", choices=SELECTIONS)
+    _setting(sub, "--passes", "passes", type=int, help="1 or 2")
+    _setting(sub, "--stride1", "stride_pass1", type=int)
+    _setting(sub, "--stride2", "stride_pass2", type=int)
     sub.add_argument("--threads", type=int, default=0,
                      help="worker threads (0 = all cores)")
     sub.add_argument("--timing", action="store_true",
@@ -84,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     denoise = commands.add_parser("denoise", help="denoise a noisy PGM image")
     denoise.add_argument("--input", required=True, help="noisy input PGM")
-    denoise.add_argument("--sigma", type=_positive_float, required=True)
-    denoise.add_argument("--rule", choices=RULES, default="bayes")
+    denoise.add_argument("--sigma", type=float, required=True)
+    _setting(denoise, "--rule", "rule", choices=RULES)
     _add_db_args(denoise)
     _add_pipeline_args(denoise)
     denoise.add_argument("--clean", help="clean reference PGM for metrics")
@@ -134,41 +137,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(requested: int) -> int:
-    if requested > 0:
-        return requested
-    import os
-
-    return os.cpu_count() or 1
+    if requested < 0:
+        raise ValueError(f"--threads must be >= 0, got {requested}")
+    return requested or os.cpu_count() or 1
 
 
-def _config(args, sigma: float, rule: str) -> DenoiseConfig:
-    return DenoiseConfig(
-        sigma=sigma,
-        patch_size=args.patch_size,
-        stride_pass1=args.stride1,
-        stride_pass2=args.stride2,
-        k=args.k,
-        pool_size=args.pool,
-        selection=args.selection,
-        rule=rule,
-        gamma=args.gamma,
-        tau=args.tau,
-        bandwidth=args.bandwidth,
-        passes=args.passes,
-    )
+def _config(args, **cell) -> DenoiseConfig:
+    """The DenoiseConfig of the parsed flags; `cell` sets the fields they lack."""
+    settings = {name: value for name, value in vars(args).items()
+                if name in _DEFAULTS}
+    return DenoiseConfig(**settings, **cell)
 
 
 def cmd_denoise(args) -> int:
+    cfg = _config(args)
+    threads = _resolve_threads(args.threads)
+    if args.db_quality and not args.clean:
+        raise ValueError("--db-quality requires --clean")
     noisy = _read_image(args.input)
     db = _load_db(args.db, args.patch_size, args.db_stride)
     clean = _read_image(args.clean) if args.clean else None
-    cfg = _config(args, args.sigma, args.rule)
-    result, report = denoise_image(
-        noisy, db, cfg, clean=clean, threads=_resolve_threads(args.threads)
-    )
+    result, report = denoise_image(noisy, db, cfg, clean=clean, threads=threads)
     if args.db_quality:
-        if clean is None:
-            raise ValueError("--db-quality requires --clean")
         report.db_quality = dbmod.database_quality(db, clean)
 
     out = args.out or str(Path(args.input).with_suffix(".denoised.pgm"))
@@ -188,15 +178,17 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    clean = _read_image(args.clean)
-    db = _load_db(args.db, args.patch_size, args.db_stride)
     sigmas = [float(s) for s in args.sigmas.split(",") if s]
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     if not sigmas or not rules:
         raise ValueError("--sigmas and --rules must be nonempty")
-    cfg = _config(args, sigmas[0], rules[0])
-    rows = run_sweep(clean, db, cfg, sigmas, rules, seed=args.seed,
-                     threads=_resolve_threads(args.threads))
+    # Every cell's settings are checked before any file is read.
+    cells = [_config(args, sigma=s, rule=r) for s in sigmas for r in rules]
+    threads = _resolve_threads(args.threads)
+    clean = _read_image(args.clean)
+    db = _load_db(args.db, args.patch_size, args.db_stride)
+    rows = run_sweep(clean, db, cells[0], sigmas, rules, seed=args.seed,
+                     threads=threads)
     Path(args.out).write_text(sweep_to_csv(rows, include_timing=args.timing))
     total = sum(row["seconds"] for row in rows)
     print(f"wrote {args.out}: {len(rows)} cells in {total:.2f}s", file=sys.stderr)

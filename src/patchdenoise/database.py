@@ -29,8 +29,6 @@ __all__ = [
     "k_smallest",
     "compute_weights",
     "database_quality",
-    "default_tau",
-    "default_bandwidth",
 ]
 
 _CACHE_MAGIC = b"TDBC\x01\n"
@@ -268,28 +266,3 @@ def database_quality(db: Database, clean) -> float:
         total += np.sqrt(np.einsum("ij,ij->i", diffs, diffs)).sum()
     return total / (len(dense) * np.sqrt(d))
 
-
-# ---------------------------------------------------------------------------
-# Parameter schedules
-# ---------------------------------------------------------------------------
-
-
-def default_tau(selection: str, sigma: float, pool_size: int) -> float:
-    """Noise-dependent penalty weight for the selection refinements.
-
-    first_pass: 0.01 below sigma 30, 1.0 from 30 up. cross_similarity:
-    1/(200 m) below sigma 30, 1/(2 m) from 30 up, with m the pool size.
-    """
-    high = sigma >= 30
-    if selection == "first_pass":
-        return 1.0 if high else 0.01
-    if selection == "cross_similarity":
-        return 1.0 / (2 * pool_size) if high else 1.0 / (200 * pool_size)
-    raise ValueError(f"no tau schedule for selection {selection!r}")
-
-
-def default_bandwidth(sigma: float) -> float:
-    """Similarity bandwidth h matched to the noise level."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0 to derive a bandwidth, got {sigma}")
-    return float(sigma)

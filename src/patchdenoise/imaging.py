@@ -132,8 +132,8 @@ def add_gaussian_noise(img, sigma: float, seed: int) -> np.ndarray:
     The same (img, sigma, seed) triple always yields bit-identical output.
     """
     img = as_image(img)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:  # NaN fails too
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     return img + sigma * rng.standard_normal(img.shape)
 

@@ -85,17 +85,25 @@ class DenoiseConfig:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
 
     def resolved_bandwidth(self) -> float:
+        """Similarity bandwidth h: the explicit value, else matched to sigma."""
         if self.bandwidth is not None:
             return self.bandwidth
-        return dbmod.default_bandwidth(self.sigma)
+        return float(self.sigma)
 
     def resolved_tau(self, selection: str, pool_size: int) -> float:
+        """Selection penalty weight: the explicit value, else a noise schedule.
+
+        first_pass: 0.01 below sigma 30, 1.0 from 30 up. cross_similarity:
+        1/(200 m) below sigma 30, 1/(2 m) from 30 up, with m the pool size.
+        """
         if self.tau is not None:
             return self.tau
-        return dbmod.default_tau(selection, self.sigma, pool_size)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        high = self.sigma >= 30
+        if selection == "first_pass":
+            return 1.0 if high else 0.01
+        if selection == "cross_similarity":
+            return 1.0 / (2 * pool_size) if high else 1.0 / (200 * pool_size)
+        raise ValueError(f"no tau schedule for selection {selection!r}")
 
 
 @dataclass
@@ -263,7 +271,7 @@ def denoise_image(
         ssim_denoised=ssim(clean, result) if clean is not None else None,
         seconds_pass1=t1 - t0,
         seconds_pass2=t2 - t1,
-        config=cfg.to_dict(),
+        config=dataclasses.asdict(cfg),
     )
     return result, report
 
@@ -287,21 +295,23 @@ def run_sweep(clean, db, cfg_base: DenoiseConfig, sigmas, rules,
     runs the pipeline, and records PSNR/SSIM against the clean image.
     """
     clean = as_image(clean)
+    # Every cell's config is checked before the first cell is denoised.
+    cells = [dataclasses.replace(cfg_base, sigma=float(sigma), rule=rule)
+             for sigma in sigmas for rule in rules]
     rows = []
-    for sigma in sigmas:
-        for rule in rules:
-            cfg = dataclasses.replace(cfg_base, sigma=float(sigma), rule=rule)
-            noisy = add_gaussian_noise(clean, sigma, cell_seed(seed, sigma, rule))
-            _, report = denoise_image(noisy, db, cfg, clean=clean, threads=threads)
-            rows.append(
-                {
-                    "sigma": float(sigma),
-                    "rule": rule,
-                    "psnr": report.psnr_denoised,
-                    "ssim": report.ssim_denoised,
-                    "seconds": report.seconds_pass1 + report.seconds_pass2,
-                }
-            )
+    for cfg in cells:
+        noise_seed = cell_seed(seed, cfg.sigma, cfg.rule)
+        noisy = add_gaussian_noise(clean, cfg.sigma, noise_seed)
+        _, report = denoise_image(noisy, db, cfg, clean=clean, threads=threads)
+        rows.append(
+            {
+                "sigma": cfg.sigma,
+                "rule": cfg.rule,
+                "psnr": report.psnr_denoised,
+                "ssim": report.ssim_denoised,
+                "seconds": report.seconds_pass1 + report.seconds_pass2,
+            }
+        )
     return rows
 
 

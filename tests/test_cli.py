@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from patchdenoise.cli import main
+from patchdenoise import pipeline
+from patchdenoise.cli import _config, build_parser, main
 from patchdenoise.database import build_database, database_quality
 from patchdenoise.imaging import add_gaussian_noise, read_pgm, write_pgm
+from patchdenoise.pipeline import DenoiseConfig
 
 
 @pytest.fixture()
@@ -62,10 +64,11 @@ class TestDenoiseCommand:
 
     def test_negative_sigma_is_usage_error(self, workspace, capsys):
         _, _, noisy_path, db_dir = workspace
-        with pytest.raises(SystemExit) as err:
-            main(["denoise", "--input", str(noisy_path), "--db", str(db_dir),
-                  "--sigma", "-1"])
-        assert err.value.code == 2
+        code = main(["denoise", "--input", str(noisy_path), "--db", str(db_dir),
+                     "--sigma", "-1"])
+        assert code == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not noisy_path.with_suffix(".denoised.pgm").exists()
 
     @pytest.mark.parametrize("sigma", ["inf", "nan"])
     def test_non_finite_sigma_is_usage_error(self, workspace, capsys, sigma):
@@ -73,9 +76,7 @@ class TestDenoiseCommand:
         out = tmp / "o.pgm"
         args = _denoise_args(noisy_path, db_dir, out, tmp / "r.json")
         args[args.index("--sigma") + 1] = sigma
-        with pytest.raises(SystemExit) as err:
-            main(args)
-        assert err.value.code == 2
+        assert main(args) == 2
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
@@ -85,6 +86,22 @@ class TestDenoiseCommand:
                                   tmp / "r.json", tau=-1))
         assert code == 2
         assert "tau must be >= 0" in capsys.readouterr().err
+
+    def test_config_error_reported_before_files_are_read(self, workspace, capsys):
+        tmp, _, noisy_path, _ = workspace
+        code = main(_denoise_args(noisy_path, tmp / "no-such-db", tmp / "o.pgm",
+                                  tmp / "r.json", tau=-1))
+        assert code == 2
+        assert "tau must be >= 0" in capsys.readouterr().err
+
+    def test_negative_threads_is_usage_error(self, workspace, capsys):
+        tmp, _, noisy_path, db_dir = workspace
+        out = tmp / "o.pgm"
+        code = main(_denoise_args(noisy_path, db_dir, out, tmp / "r.json",
+                                  threads=-4))
+        assert code == 2
+        assert "--threads must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_file_is_io_error(self, workspace):
         tmp, _, _, db_dir = workspace
@@ -191,6 +208,26 @@ class TestSweepCommand:
         assert main(self._args(clean_path, db_dir, out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--sigmas", "15,nan"),
+                                             ("--rules", "bayes,nonsense")])
+    def test_bad_cell_fails_before_any_denoising(self, workspace, monkeypatch,
+                                                 capsys, flag, value):
+        tmp, clean_path, _, db_dir = workspace
+        out = tmp / "sweep.csv"
+        args = self._args(clean_path, db_dir, out)
+        args[args.index(flag) + 1] = value
+        calls, denoise_image = [], pipeline.denoise_image
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return denoise_image(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "denoise_image", counting)
+        assert main(args) == 2
+        assert calls == []
+        assert not out.exists()
+        assert ("sigma" if flag == "--sigmas" else "rule") in capsys.readouterr().err
+
     def test_rule_flag_rejected(self, workspace):
         # sweep reads only --rules; neither an unread --rule nor a prefix may pass.
         tmp, clean_path, _, db_dir = workspace
@@ -287,11 +324,14 @@ class TestNoiseCommand:
         payload = json.loads(report.read_text())
         assert 19.0 <= payload["empirical_std"] <= 21.0
 
-    def test_negative_sigma_rejected(self, workspace):
+    def test_negative_sigma_rejected(self, workspace, capsys):
         tmp, clean_path, _, _ = workspace
-        code = main(["noise", "--input", str(clean_path), "--sigma", "-2",
-                     "--seed", "1", "--out", str(tmp / "x.pgm")])
-        assert code == 2
+        for sigma in ("-2", "nan", "inf"):
+            code = main(["noise", "--input", str(clean_path), "--sigma", sigma,
+                         "--seed", "1", "--out", str(tmp / "x.pgm")])
+            assert code == 2
+            assert "sigma must be finite and >= 0" in capsys.readouterr().err
+            assert not (tmp / "x.pgm").exists()
 
 
 class TestParserBasics:
@@ -306,6 +346,19 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as err:
             main(args + ["--seed", "0"])
         assert err.value.code == 2
+
+    def test_config_flags_map_to_fields_and_defaults(self):
+        parser = build_parser()
+        denoise = ["denoise", "--input", "in.pgm", "--db", "pages", "--sigma", "15"]
+        assert _config(parser.parse_args(denoise)) == DenoiseConfig(sigma=15.0)
+        sweep = ["sweep", "--clean", "c.pgm", "--db", "pages", "--sigmas", "15",
+                 "--rules", "lpg"]
+        assert (_config(parser.parse_args(sweep), sigma=15.0, rule="lpg")
+                == DenoiseConfig(sigma=15.0, rule="lpg"))
+        cfg = _config(parser.parse_args(denoise + [
+            "--pool", "90", "--stride1", "5", "--stride2", "3", "--h", "7"]))
+        assert cfg == DenoiseConfig(sigma=15.0, pool_size=90, stride_pass1=5,
+                                    stride_pass2=3, bandwidth=7.0)
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as err:

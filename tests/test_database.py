@@ -18,8 +18,6 @@ from patchdenoise.database import (
     compute_weights,
     cross_similarity_scores,
     database_quality,
-    default_bandwidth,
-    default_tau,
     first_pass_scores,
     k_smallest,
     knn,
@@ -396,20 +394,3 @@ class TestDatabaseQuality:
         big = Database(patches=np.vstack([base, extra]), patch_size=4)
         assert database_quality(big, img) <= database_quality(small, img)
 
-
-class TestParameterSchedules:
-    def test_first_pass_tau_switchover(self):
-        assert default_tau("first_pass", 10.0, 200) == 0.01
-        assert default_tau("first_pass", 29.9, 200) == 0.01
-        assert default_tau("first_pass", 30.0, 200) == 1.0
-        assert default_tau("first_pass", 80.0, 200) == 1.0
-
-    def test_cross_similarity_tau_switchover(self):
-        assert default_tau("cross_similarity", 10.0, 200) == 1.0 / 40000
-        assert default_tau("cross_similarity", 30.0, 200) == 1.0 / 400
-        assert default_tau("cross_similarity", 50.0, 100) == 1.0 / 200
-
-    def test_bandwidth_tracks_sigma(self):
-        assert default_bandwidth(35.0) == 35.0
-        with pytest.raises(ValueError):
-            default_bandwidth(0.0)

@@ -94,8 +94,9 @@ class TestGaussianNoise:
         assert 19.5 <= np.std(noisy - img) <= 20.5
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            add_gaussian_noise(np.zeros((4, 4)), -1.0, 0)
+        for sigma in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="sigma"):
+                add_gaussian_noise(np.zeros((4, 4)), sigma, 0)
 
     def test_no_clamping_in_float_domain(self):
         img = np.full((64, 64), 2.0)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from patchdenoise import add_gaussian_noise, build_database, psnr
+from patchdenoise import add_gaussian_noise, build_database, pipeline, psnr
 from patchdenoise.database import Database
 from patchdenoise.imaging import extract_patch, plan_grid
 from patchdenoise.pipeline import (
@@ -107,12 +107,16 @@ class TestConfigValidation:
                 DenoiseConfig(sigma=10.0, bandwidth=bandwidth)
 
     def test_auto_schedules_resolve(self):
-        cfg = DenoiseConfig(sigma=50.0)
-        assert cfg.resolved_bandwidth() == 50.0
-        assert cfg.resolved_tau("first_pass", 200) == 1.0
-        low = DenoiseConfig(sigma=10.0)
-        assert low.resolved_tau("first_pass", 200) == 0.01
-        assert low.resolved_tau("cross_similarity", 200) == 1.0 / 40000
+        assert DenoiseConfig(sigma=50.0).resolved_bandwidth() == 50.0
+        assert DenoiseConfig(sigma=35).resolved_bandwidth() == 35.0
+        # tau switches over at sigma 30: first_pass 0.01 -> 1, and
+        # cross_similarity 1/(200 m) -> 1/(2 m) with m the pool size.
+        for sigma, tau in ((10.0, 0.01), (29.9, 0.01), (30.0, 1.0), (80.0, 1.0)):
+            assert DenoiseConfig(sigma=sigma).resolved_tau("first_pass", 200) == tau
+        for sigma, pool, tau in ((10.0, 200, 1.0 / 40000), (30.0, 200, 1.0 / 400),
+                                 (50.0, 100, 1.0 / 200)):
+            cfg = DenoiseConfig(sigma=sigma)
+            assert cfg.resolved_tau("cross_similarity", pool) == tau
 
     def test_explicit_tau_and_bandwidth_override(self):
         cfg = DenoiseConfig(sigma=50.0, tau=0.3, bandwidth=12.0)
@@ -266,6 +270,22 @@ class TestSweep:
         rows = [run_sweep(clean, db, _tiny_cfg(), sigmas=[20.0], rules=["bayes"],
                           seed=seed)[0] for seed in (0, 0, 1)]
         assert rows[0]["psnr"] == rows[1]["psnr"] != rows[2]["psnr"]
+
+    @pytest.mark.parametrize("sigmas, rules", [([20.0, float("nan")], ["bayes"]),
+                                               ([20.0], ["bayes", "nonsense"])])
+    def test_bad_cell_fails_before_any_denoising(self, tiny_scene, monkeypatch,
+                                                 sigmas, rules):
+        clean, db = tiny_scene
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return denoise_image(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "denoise_image", counting)
+        with pytest.raises(ValueError):
+            run_sweep(clean, db, _tiny_cfg(), sigmas=sigmas, rules=rules)
+        assert calls == []
 
     def test_cell_seeds_stable_and_distinct(self):
         assert cell_seed(0, 20.0, "bayes") == cell_seed(0, 20.0, "bayes")
