@@ -28,6 +28,7 @@ from patchdenoise.database import (
     save_database_cache,
 )
 from patchdenoise.imaging import plan_grid, write_pgm
+from patchdenoise.pipeline import DenoiseConfig
 
 
 def _random_db(rng, n=50, d=16, scale=10.0):
@@ -394,3 +395,22 @@ class TestDatabaseQuality:
         big = Database(patches=np.vstack([base, extra]), patch_size=4)
         assert database_quality(big, img) <= database_quality(small, img)
 
+
+class TestParameterSchedules:
+    """The sigma schedules that set the selection tau and the weight bandwidth."""
+
+    def test_first_pass_tau_switchover(self):
+        for sigma, tau in ((10.0, 0.01), (29.9, 0.01), (30.0, 1.0), (80.0, 1.0)):
+            assert DenoiseConfig(sigma=sigma).resolved_tau("first_pass", 200) == tau
+
+    def test_cross_similarity_tau_switchover(self):
+        # 1/(200 m) below sigma 30 and 1/(2 m) from it on, m the pool size.
+        for sigma, pool, tau in ((10.0, 200, 1.0 / 40000), (30.0, 200, 1.0 / 400),
+                                 (50.0, 100, 1.0 / 200)):
+            cfg = DenoiseConfig(sigma=sigma)
+            assert cfg.resolved_tau("cross_similarity", pool) == tau
+
+    def test_bandwidth_tracks_sigma(self):
+        assert DenoiseConfig(sigma=35.0).resolved_bandwidth() == 35.0
+        with pytest.raises(ValueError):
+            DenoiseConfig(sigma=0.0)
