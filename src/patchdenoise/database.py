@@ -45,6 +45,8 @@ class Database:
     patch_size: int
 
     def __post_init__(self):
+        if self.patch_size < 1:
+            raise ValueError(f"patch_size must be >= 1, got {self.patch_size}")
         if self.patches.ndim != 2 or len(self.patches) < 1:
             raise ValueError("database needs at least one patch")
         if self.patches.shape[1] != self.patch_size**2:

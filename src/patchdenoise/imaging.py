@@ -16,6 +16,7 @@ __all__ = [
     "read_pgm",
     "write_pgm",
     "add_gaussian_noise",
+    "check_grid",
     "plan_grid",
     "extract_patch",
     "extract_patches",
@@ -151,23 +152,28 @@ def _offsets(dim: int, patch_size: int, stride: int) -> list[int]:
     return offs
 
 
+def check_grid(patch_size: int, stride: int) -> None:
+    """Reject a patch size or a stride whose grid cannot cover an image."""
+    if patch_size < 1:
+        raise ValueError(f"patch_size must be >= 1, got {patch_size}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if stride > patch_size:
+        # Offsets would leave gaps of stride - patch_size uncovered pixels.
+        raise ValueError(f"stride {stride} > patch_size {patch_size} breaks coverage")
+
+
 def plan_grid(width: int, height: int, patch_size: int, stride: int) -> np.ndarray:
     """Plan (row, col) top-left patch locations covering every pixel.
 
     Offsets step by `stride` with the final row/column clamped to
     dim - patch_size. Returns an (N, 2) int array in row-major order.
     """
-    if patch_size < 1:
-        raise ValueError(f"patch_size must be >= 1, got {patch_size}")
+    check_grid(patch_size, stride)
     if patch_size > min(width, height):
         raise ValueError(
             f"patch_size {patch_size} exceeds image dimensions {width}x{height}"
         )
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if stride > patch_size:
-        # Offsets would leave gaps of stride - patch_size uncovered pixels.
-        raise ValueError(f"stride {stride} > patch_size {patch_size} breaks coverage")
     rows = _offsets(height, patch_size, stride)
     cols = _offsets(width, patch_size, stride)
     locs = [(r, c) for r in rows for c in cols]

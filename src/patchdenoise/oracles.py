@@ -29,6 +29,16 @@ __all__ = [
 GRID_STEP = 1e-4
 MC_TRIALS = 200_000
 MC_RTOL = 0.01
+# Battery sizes. Every random problem is DIM-dimensional; an ensemble holds
+# ENSEMBLE_SIZE patches with entries of standard deviation ENSEMBLE_SCALE.
+DIM, ENSEMBLE_SIZE, ENSEMBLE_SCALE = 8, 20, 60.0
+INSTANCES = 20  # Monte Carlo filters, oracle problems and rotation ensembles
+SIGMAS = (10.0, 50.0, 100.0)  # noise levels per Monte Carlo filter
+ALTERNATIVES = 1000  # rival (U, lam) pairs per oracle problem
+ROTATIONS = 1000  # random rotations per ensemble
+PAIRS = 50  # (s, sigma) pairs for the ensemble-spectrum rule
+ENSEMBLES = 50  # weighted ensembles for the prior identity
+TRIPLES = 100  # random penalized (s, sigma, gamma) cases, boundaries aside
 
 
 @dataclass(frozen=True)
@@ -159,44 +169,46 @@ def random_orthonormal(d: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _random_ensemble(rng, d=8, k=20, scale=60.0, uniform_weights=True):
-    P = scale * rng.standard_normal((d, k))
-    if uniform_weights:
-        w = np.full(k, 1.0 / k)
-    else:
-        w = rng.random(k) + 0.05
-        w /= w.sum()
-    return filters.PatchEnsemble(P=P, weights=w)
+def _random_ensemble(rng, uniform_weights):
+    P = ENSEMBLE_SCALE * rng.standard_normal((DIM, ENSEMBLE_SIZE))
+    w = np.ones(ENSEMBLE_SIZE) if uniform_weights else rng.random(ENSEMBLE_SIZE) + 0.05
+    return filters.PatchEnsemble(P=P, weights=w / w.sum())
 
 
-def _check_mc_identity(seed: int, instances=20, sigmas=(10.0, 50.0, 100.0)):
+def _grid_result(name, cases, seed):
+    """Worst |lam - grid minimizer| over (lam, s, sigma, gamma, alpha) cases,
+    lam being the closed-form minimizer of grid_min_shrinkage's objective."""
+    worst = max(abs(lam - grid_min_shrinkage(s, sigma, gamma, alpha))
+                for lam, s, sigma, gamma, alpha in cases)
+    return _result(name, worst, GRID_STEP, len(cases), seed)
+
+
+def _check_mc_identity(seed: int):
     """Monte Carlo MSE matches the closed-form expansion on random filters."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    n = 0
-    for _ in range(instances):
-        U = random_orthonormal(8, int(rng.integers(2**32)))
-        lam = rng.random(8)
-        p = 50.0 * rng.standard_normal(8)
-        for sigma in sigmas:
+    for _ in range(INSTANCES):
+        U = random_orthonormal(DIM, int(rng.integers(2**32)))
+        lam = rng.random(DIM)
+        p = 50.0 * rng.standard_normal(DIM)
+        for sigma in SIGMAS:
             expected = filter_mse_expected(U, lam, p, sigma)
             measured = filter_mse_monte_carlo(
                 U, lam, p, sigma, MC_TRIALS, int(rng.integers(2**32))
             )
             worst = max(worst, abs(measured - expected) / expected)
-            n += 1
-    return _result("filter-mse-monte-carlo", worst, MC_RTOL, n * MC_TRIALS, seed)
+    trials = INSTANCES * len(SIGMAS) * MC_TRIALS
+    return _result("filter-mse-monte-carlo", worst, MC_RTOL, trials, seed)
 
 
-def _check_oracle_dominance(seed: int, instances=20, alternatives=1000):
+def _check_oracle_dominance(seed: int):
     """The ground-truth filter beats random and perturbed (U, lam) pairs."""
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for _ in range(instances):
-        d = 8
-        p = 50.0 * rng.standard_normal(d)
+    for _ in range(INSTANCES):
+        p = 50.0 * rng.standard_normal(DIM)
         sigma = float(rng.uniform(5.0, 100.0))
-        U0 = random_orthonormal(d, int(rng.integers(2**32)))
+        U0 = random_orthonormal(DIM, int(rng.integers(2**32)))
         # The optimal pair: first basis vector aligned with p, top shrinkage
         # ||p||^2/(||p||^2 + sigma^2), everything else zeroed.
         u1 = p / np.linalg.norm(p)
@@ -204,83 +216,76 @@ def _check_oracle_dominance(seed: int, instances=20, alternatives=1000):
         U_opt[:, 0] = u1
         lam_opt = filters.spectrum_oracle(U_opt, p, sigma)
         best = filter_mse_expected(U_opt, lam_opt, p, sigma)
-        for j in range(alternatives):
+        for j in range(ALTERNATIVES):
             if j % 2 == 0:
-                U = random_orthonormal(d, int(rng.integers(2**32)))
-                lam = rng.random(d)
+                U = random_orthonormal(DIM, int(rng.integers(2**32)))
+                lam = rng.random(DIM)
             else:
                 # Local perturbation: small rotation of the optimum and a
                 # clipped nudge of its shrinkage values.
-                K = 0.05 * rng.standard_normal((d, d))
-                Q, _ = np.linalg.qr(np.eye(d) + K - K.T)
+                K = 0.05 * rng.standard_normal((DIM, DIM))
+                Q, _ = np.linalg.qr(np.eye(DIM) + K - K.T)
                 U = U_opt @ Q
-                lam = np.clip(lam_opt + 0.05 * rng.standard_normal(d), 0.0, 1.0)
+                lam = np.clip(lam_opt + 0.05 * rng.standard_normal(DIM), 0.0, 1.0)
             worst = max(worst, best - filter_mse_expected(U, lam, p, sigma))
     # One-sided optimality: report the violation amount, clamped at zero.
     return _result(
         "oracle-filter-dominance", max(worst, 0.0), 1e-9,
-        instances * alternatives, seed,
+        INSTANCES * ALTERNATIVES, seed,
     )
 
 
-def _check_oracle_grid(seed: int, instances=20):
+def _check_oracle_grid(seed: int):
     """Per-coordinate grid search recovers the ground-truth shrinkage."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(instances):
-        d = 8
-        p = 50.0 * rng.standard_normal(d)
+    cases = []
+    for _ in range(INSTANCES):
+        p = 50.0 * rng.standard_normal(DIM)
         sigma = float(rng.uniform(5.0, 100.0))
-        U = random_orthonormal(d, int(rng.integers(2**32)))
+        U = random_orthonormal(DIM, int(rng.integers(2**32)))
         lam = filters.spectrum_oracle(U, p, sigma)
         a2 = (U.T @ p) ** 2
-        for i in range(d):
-            lam_grid = grid_min_shrinkage(a2[i], sigma, 0.0, 1, GRID_STEP)
-            worst = max(worst, abs(lam[i] - lam_grid))
-    return _result("oracle-shrinkage-grid", worst, GRID_STEP, instances * 8, seed)
+        cases += [(lam_i, a2_i, sigma, 0.0, 1) for lam_i, a2_i in zip(lam, a2)]
+    return _grid_result("oracle-shrinkage-grid", cases, seed)
 
 
-def _check_basis_optimality(seed: int, instances=20, rotations=1000):
+def _check_basis_optimality(seed: int):
     """No sampled rotation projects the patches more group-sparsely."""
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for _ in range(instances):
+    for _ in range(INSTANCES):
         ens = _random_ensemble(rng, uniform_weights=True)
         U, _ = filters.group_sparse_basis(ens)
         ours = l12_norm(U.T @ ens.P)
         best_other = min(
-            l12_norm(
-                random_orthonormal(ens.P.shape[0], int(rng.integers(2**32))).T @ ens.P
-            )
-            for _ in range(rotations)
+            l12_norm(random_orthonormal(DIM, int(rng.integers(2**32))).T @ ens.P)
+            for _ in range(ROTATIONS)
         )
         worst = max(worst, ours - best_other)
     return _result(
         "basis-group-sparsity-optimality", max(worst, 0.0), 1e-9,
-        instances * rotations, seed,
+        INSTANCES * ROTATIONS, seed,
     )
 
 
-def _check_bayes_grid(seed: int, pairs=50, bayes_rule=None):
+def _check_bayes_grid(seed: int, bayes_rule=None):
     """Ensemble-spectrum shrinkage matches the grid-searched minimizer."""
-    if bayes_rule is None:
-        bayes_rule = filters.spectrum_bayes
+    bayes_rule = bayes_rule or filters.spectrum_bayes
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(pairs):
+    cases = []
+    for _ in range(PAIRS):
         s = rng.uniform(0.0, 200.0) ** 2
         sigma = float(rng.uniform(1.0, 100.0))
         lam = float(np.asarray(bayes_rule(np.array([s]), sigma))[0])
-        lam_grid = grid_min_shrinkage(s, sigma, 0.0, 1, GRID_STEP)
-        worst = max(worst, abs(lam - lam_grid))
-    return _result("bayes-shrinkage-grid", worst, GRID_STEP, pairs, seed)
+        cases.append((lam, s, sigma, 0.0, 1))
+    return _grid_result("bayes-shrinkage-grid", cases, seed)
 
 
-def _check_prior_identity(seed: int, ensembles=50):
+def _check_prior_identity(seed: int):
     """mu mu^T + Sigma reconstructs the weighted second moment P W P^T."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(ensembles):
+    for _ in range(ENSEMBLES):
         ens = _random_ensemble(rng, uniform_weights=False)
         prior = local_prior(ens)
         lhs = np.outer(prior.mu, prior.mu) + prior.Sigma
@@ -288,33 +293,31 @@ def _check_prior_identity(seed: int, ensembles=50):
         worst = max(
             worst, np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300)
         )
-    return _result("prior-second-moment-identity", worst, 1e-10, ensembles, seed)
+    return _result("prior-second-moment-identity", worst, 1e-10, ENSEMBLES, seed)
 
 
-def _check_penalized_grid(seed: int, triples=100):
+def _check_penalized_grid(seed: int):
     """Penalized shrinkage matches a 1-D grid search, boundaries included."""
     rng = np.random.default_rng(seed)
-    cases = []
-    for _ in range(triples):
+    triples = []
+    for _ in range(TRIPLES):
         s = float(rng.uniform(0.0, 50.0))
         sigma = float(rng.uniform(0.5, 10.0))
         gamma = float(rng.uniform(0.0, 5.0))
-        cases.append((s, sigma, gamma, int(rng.integers(2))))
+        triples.append((s, sigma, gamma, int(rng.integers(2))))
     # Threshold boundaries: s exactly gamma/2 for the soft rule, and gamma
     # straddling s^2/(s + sigma^2) by +-1e-3 for the hard rule.
     s, sigma = 3.0, 2.0
-    cases.append((s, sigma, 2.0 * s, 1))
+    triples.append((s, sigma, 2.0 * s, 1))
     edge = s * s / (s + sigma**2)
-    cases.append((s, sigma, edge - 1e-3, 0))
-    cases.append((s, sigma, edge + 1e-3, 0))
-    worst = 0.0
-    for s, sigma, gamma, alpha in cases:
-        lam = float(
-            filters.spectrum_penalized(np.array([s]), sigma, gamma, alpha)[0]
-        )
-        lam_grid = grid_min_shrinkage(s, sigma, gamma, alpha, GRID_STEP)
-        worst = max(worst, abs(lam - lam_grid))
-    return _result("penalized-shrinkage-grid", worst, GRID_STEP, len(cases), seed)
+    triples.append((s, sigma, edge - 1e-3, 0))
+    triples.append((s, sigma, edge + 1e-3, 0))
+    cases = [
+        (float(filters.spectrum_penalized(np.array([s]), sigma, gamma, alpha)[0]),
+         s, sigma, gamma, alpha)
+        for s, sigma, gamma, alpha in triples
+    ]
+    return _grid_result("penalized-shrinkage-grid", cases, seed)
 
 
 def verify_all(seed: int = 0, bayes_rule=None) -> list[VerificationResult]:

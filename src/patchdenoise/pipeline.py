@@ -1,8 +1,8 @@
 """Whole-image denoising: per-patch filtering plus the two-pass procedure.
 
-Pass 1 denoises patches selected by plain nearest-neighbor search on a
-coarse grid. Pass 2 re-runs on a finer grid, using the pass-1 output as a
-pilot both for selection refinement and for pilot-based shrinkage rules.
+Pass 1 runs denoise_patch without a pilot on a coarse grid. Pass 2 re-runs
+it on a finer grid with the pass-1 output as the pilot, which refines the
+'auto' selection and sets the 'bm3d_pilot' shrinkage.
 Given fixed inputs the output is bit-identical, including under
 multi-threaded execution (per-patch work is independent and merged in a
 fixed order).
@@ -22,7 +22,8 @@ import numpy as np
 
 from . import database as dbmod
 from . import filters
-from .imaging import add_gaussian_noise, aggregate, as_image, extract_patch, plan_grid
+from .imaging import (add_gaussian_noise, aggregate, as_image, check_grid,
+                      extract_patch, plan_grid)
 from .metrics import psnr, ssim
 
 __all__ = [
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 RULES = ("oracle", "bayes", "bayes_l1", "bayes_l0", "bm3d_pilot", "lpg")
-SELECTIONS = ("auto", "knn", "cross_similarity", "first_pass")
+SELECTIONS = ("auto", "knn", "cross_similarity")
 _PENALIZED_ALPHA = {"bayes_l1": 1, "bayes_l0": 0}
 
 
@@ -73,8 +74,8 @@ class DenoiseConfig:
         if self.k < 1 or self.pool_size < self.k:
             raise ValueError(f"need 1 <= k <= pool_size, got k={self.k}, "
                              f"pool_size={self.pool_size}")
-        if self.stride_pass1 < 1 or self.stride_pass2 < 1:
-            raise ValueError("strides must be >= 1")
+        for stride in (self.stride_pass1, self.stride_pass2):
+            check_grid(self.patch_size, stride)
         if self.passes not in (1, 2):
             raise ValueError(f"passes must be 1 or 2, got {self.passes}")
         if self.gamma < 0:
@@ -93,8 +94,9 @@ class DenoiseConfig:
     def resolved_tau(self, selection: str, pool_size: int) -> float:
         """Selection penalty weight: the explicit value, else a noise schedule.
 
-        first_pass: 0.01 below sigma 30, 1.0 from 30 up. cross_similarity:
-        1/(200 m) below sigma 30, 1/(2 m) from 30 up, with m the pool size.
+        first_pass (the pilot-refined 'auto' selection): 0.01 below sigma 30,
+        1.0 from 30 up. cross_similarity: 1/(200 m) below sigma 30, 1/(2 m)
+        from 30 up, with m the pool size.
         """
         if self.tau is not None:
             return self.tau
@@ -143,19 +145,17 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _select_indices(q, db, cfg, selection, pilot):
-    pool = min(cfg.pool_size, len(db))
+def _select_indices(q, db, cfg, pilot):
+    selection = cfg.selection
+    if selection == "auto":  # refine around the pilot once there is one
+        selection = "knn" if pilot is None else "first_pass"
     if selection == "knn":
         return dbmod.knn(db, q, cfg.k)
+    pool = min(cfg.pool_size, len(db))
+    tau = cfg.resolved_tau(selection, pool)
     if selection == "cross_similarity":
-        tau = cfg.resolved_tau(selection, pool)
         return dbmod.refine_cross_similarity(db, q, pool, cfg.k, tau)
-    if selection == "first_pass":
-        if pilot is None:
-            raise ValueError("selection 'first_pass' requires a pilot patch")
-        tau = cfg.resolved_tau(selection, pool)
-        return dbmod.refine_first_pass(db, q, pilot, pool, cfg.k, tau)
-    raise ValueError(f"unknown selection {selection!r}")
+    return dbmod.refine_first_pass(db, q, pilot, pool, cfg.k, tau)
 
 
 def _shrinkage(cfg, U, s, q, pilot, truth):
@@ -165,32 +165,28 @@ def _shrinkage(cfg, U, s, q, pilot, truth):
     if rule in _PENALIZED_ALPHA:
         return filters.spectrum_penalized(s, cfg.sigma, cfg.gamma,
                                           _PENALIZED_ALPHA[rule])
-    if rule == "bm3d_pilot":
-        if pilot is None:
-            raise ValueError("rule 'bm3d_pilot' requires a pilot patch")
-        return filters.spectrum_bm3d_pilot(U, pilot, cfg.sigma)
+    if rule == "bm3d_pilot":  # without a pilot the query stands in for it
+        return filters.spectrum_bm3d_pilot(U, q if pilot is None else pilot,
+                                           cfg.sigma)
     if rule == "lpg":
         return filters.spectrum_lpg(U, q, cfg.sigma)
-    if rule == "oracle":
-        if truth is None:
-            raise ValueError("rule 'oracle' requires the true clean patch")
-        return filters.spectrum_oracle(U, truth, cfg.sigma)
-    raise ValueError(f"unknown rule {rule!r}")
+    if truth is None:  # rule == "oracle"
+        raise ValueError("rule 'oracle' requires the true clean patch")
+    return filters.spectrum_oracle(U, truth, cfg.sigma)
 
 
 def denoise_patch(q, db, cfg: DenoiseConfig, pilot=None, truth=None) -> np.ndarray:
     """Denoise one patch: select references, learn the filter, apply it.
 
-    pilot is required when cfg.selection is 'first_pass' or cfg.rule is
-    'bm3d_pilot'; truth is required for the 'oracle' rule.
+    pilot is an earlier pass's estimate of the clean patch, or None. It
+    refines the 'auto' selection (plain k-NN without it) and is what
+    'bm3d_pilot' shrinks toward (the query without it). truth is required
+    for the 'oracle' rule.
     """
     if cfg.k > len(db):
         raise ValueError(f"database has {len(db)} patches, need k={cfg.k}")
     q = np.asarray(q, dtype=np.float64)
-    selection = cfg.selection if cfg.selection != "auto" else (
-        "first_pass" if pilot is not None else "knn"
-    )
-    idx = _select_indices(q, db, cfg, selection, pilot)
+    idx = _select_indices(q, db, cfg, pilot)
     selected = db.patches[idx]
     weights = dbmod.compute_weights(q, selected, cfg.resolved_bandwidth())
     ens = filters.PatchEnsemble(P=selected.T, weights=weights)
@@ -204,33 +200,20 @@ def denoise_patch(q, db, cfg: DenoiseConfig, pilot=None, truth=None) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _pass_selection(cfg: DenoiseConfig, pass_index: int) -> str:
-    if cfg.selection == "auto":
-        return "knn" if pass_index == 1 else "first_pass"
-    if pass_index == 1 and cfg.selection == "first_pass":
-        return "knn"  # no pilot exists yet
-    return cfg.selection
-
-
-def _run_pass(noisy, db, cfg, stride, pass_index, pilot_image, clean, threads):
+def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads):
+    """denoise_patch over the stride grid, piloted by pilot_image if given."""
     h, w = noisy.shape
     locs = plan_grid(w, h, cfg.patch_size, stride)
-    selection = _pass_selection(cfg, pass_index)
-    patch_cfg = cfg if selection == cfg.selection else dataclasses.replace(
-        cfg, selection=selection
-    )
 
     def work(loc):
         q = extract_patch(noisy, loc, cfg.patch_size)
         pilot = None
         if pilot_image is not None:
             pilot = extract_patch(pilot_image, loc, cfg.patch_size)
-        elif cfg.rule == "bm3d_pilot":
-            pilot = q  # pass 1 has no estimate yet; fall back to the query
         truth = None
         if cfg.rule == "oracle":
             truth = extract_patch(clean, loc, cfg.patch_size)
-        return denoise_patch(q, db, patch_cfg, pilot=pilot, truth=truth)
+        return denoise_patch(q, db, cfg, pilot=pilot, truth=truth)
 
     if threads <= 1:
         estimates = [work(loc) for loc in locs]
@@ -256,12 +239,12 @@ def denoise_image(
         raise ValueError("rule 'oracle' requires the clean image")
 
     t0 = time.perf_counter()
-    first = _run_pass(noisy, db, cfg, cfg.stride_pass1, 1, None, clean, threads)
+    first = _run_pass(noisy, db, cfg, cfg.stride_pass1, None, clean, threads)
     t1 = time.perf_counter()
     result = first
     t2 = t1
     if cfg.passes == 2:
-        result = _run_pass(noisy, db, cfg, cfg.stride_pass2, 2, first, clean, threads)
+        result = _run_pass(noisy, db, cfg, cfg.stride_pass2, first, clean, threads)
         t2 = time.perf_counter()
 
     report = Report(

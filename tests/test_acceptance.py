@@ -80,8 +80,7 @@ def sigma50_runs(clean_scene, scene_db):
 def test_criterion_01_monte_carlo_mse_identity():
     """Sampled filter MSE matches the closed-form expansion within 1%."""
     t0 = time.perf_counter()
-    result = _check_mc_identity(BATTERY_SEED, instances=20,
-                                sigmas=(10.0, 50.0, 100.0))
+    result = _check_mc_identity(BATTERY_SEED)
     elapsed = time.perf_counter() - t0
     ok = result.passed and elapsed < 30.0
     _report("1", ok,
@@ -94,9 +93,8 @@ def test_criterion_01_monte_carlo_mse_identity():
 def test_criterion_02_oracle_filter_optimality():
     """The ground-truth filter dominates 1000 sampled alternatives and its
     shrinkage matches a per-coordinate grid search within one step."""
-    dominance = _check_oracle_dominance(BATTERY_SEED, instances=20,
-                                        alternatives=1000)
-    grid = _check_oracle_grid(BATTERY_SEED, instances=20)
+    dominance = _check_oracle_dominance(BATTERY_SEED)
+    grid = _check_oracle_grid(BATTERY_SEED)
     ok = dominance.passed and grid.passed
     _report("2", ok,
             f"worst dominance violation {dominance.measured:.2e} (tol 1e-9), "
@@ -107,7 +105,7 @@ def test_criterion_02_oracle_filter_optimality():
 
 def test_criterion_03_basis_group_sparsity_optimality():
     """No random rotation projects the patch matrix more group-sparsely."""
-    result = _check_basis_optimality(BATTERY_SEED, instances=20, rotations=1000)
+    result = _check_basis_optimality(BATTERY_SEED)
     _report("3", result.passed,
             f"worst margin violation {result.measured:.2e} (tol 1e-9)")
     assert result.passed
@@ -116,8 +114,8 @@ def test_criterion_03_basis_group_sparsity_optimality():
 def test_criterion_04_bayes_spectrum_and_prior_identity():
     """Ensemble shrinkage matches grid search; the fitted prior reconstructs
     the weighted second moment to 1e-10 relative Frobenius error."""
-    grid = _check_bayes_grid(BATTERY_SEED, pairs=50)
-    identity = _check_prior_identity(BATTERY_SEED, ensembles=50)
+    grid = _check_bayes_grid(BATTERY_SEED)
+    identity = _check_prior_identity(BATTERY_SEED)
     ok = grid.passed and identity.passed
     _report("4", ok,
             f"worst grid deviation {grid.measured:.2e} (tol 1e-4), "
@@ -129,7 +127,7 @@ def test_criterion_04_bayes_spectrum_and_prior_identity():
 def test_criterion_05_penalized_spectrum_grid():
     """Soft and hard penalized shrinkage match 1-D grid searches on 100
     random triples plus the threshold boundary cases."""
-    result = _check_penalized_grid(BATTERY_SEED, triples=100)
+    result = _check_penalized_grid(BATTERY_SEED)
     _report("5", result.passed,
             f"worst grid deviation {result.measured:.2e} (tol 1e-4)")
     assert result.passed

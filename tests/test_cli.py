@@ -94,6 +94,27 @@ class TestDenoiseCommand:
         assert code == 2
         assert "tau must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("stride1", 9, "stride 9 > patch_size 4 breaks coverage"),
+        ("patch-size", 0, "patch_size must be >= 1"),
+    ])
+    def test_bad_geometry_reported_before_files_are_read(self, workspace, capsys,
+                                                         flag, value, message):
+        tmp, _, noisy_path, _ = workspace
+        args = _denoise_args(noisy_path, tmp / "no-such-db", tmp / "o.pgm",
+                             tmp / "r.json", **{flag: value})
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+
+    def test_first_pass_selection_is_usage_error(self, workspace, capsys):
+        tmp, _, noisy_path, db_dir = workspace
+        args = _denoise_args(noisy_path, db_dir, tmp / "o.pgm", tmp / "r.json",
+                             selection="first_pass")
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 2
+        assert "invalid choice: 'first_pass'" in capsys.readouterr().err
+
     def test_negative_threads_is_usage_error(self, workspace, capsys):
         tmp, _, noisy_path, db_dir = workspace
         out = tmp / "o.pgm"
@@ -239,12 +260,12 @@ class TestSweepCommand:
 
 @pytest.fixture(scope="module")
 def verify_run(tmp_path_factory):
-    """One default `verify --json` run: exit code, stdout, parsed JSON."""
+    """One default `verify --json` run: exit code, stdout, JSON bytes."""
     path = tmp_path_factory.mktemp("verify") / "results.json"
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["verify", "--json", str(path)])
-    return code, out.getvalue(), json.loads(path.read_text())
+    return code, out.getvalue(), path.read_bytes()
 
 
 class TestVerifyCommand:
@@ -254,18 +275,18 @@ class TestVerifyCommand:
         assert "PASS" in out
 
     def test_json_output_schema(self, verify_run):
-        code, _, results = verify_run
+        code, _, payload = verify_run
+        results = json.loads(payload)
         assert code == 0
         assert isinstance(results, list) and results
         for entry in results:
             assert {"name", "measured", "reference", "tolerance",
                     "passed"} <= set(entry)
 
-    def test_fixed_seed_stable_measurements(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "--seed", "5", "--json", str(a)]) == 0
-        assert main(["verify", "--seed", "5", "--json", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_fixed_seed_stable_measurements(self, verify_run, tmp_path):
+        again = tmp_path / "again.json"
+        assert main(["verify", "--seed", "0", "--json", str(again)]) == 0
+        assert again.read_bytes() == verify_run[2]
 
 
 class TestQualityCommand:

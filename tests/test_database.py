@@ -4,6 +4,7 @@ Brute-force oracles (exhaustive sorts, subset enumeration, double loops)
 validate each search operation independently of its implementation.
 """
 
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -60,6 +61,11 @@ class TestBuildDatabase:
         with pytest.raises(ValueError):
             build_database([], 8, 4)
 
+    @pytest.mark.parametrize("patch_size", [0, -3])
+    def test_zero_width_patches_rejected(self, patch_size):
+        with pytest.raises(ValueError, match="patch_size must be >= 1"):
+            Database(patches=np.zeros((5, 0)), patch_size=patch_size)
+
     def test_origins_record_locations(self, rng):
         # Rows follow image order, then plan_grid order within each image.
         images = [rng.random((14, 14)) * 255, rng.random((20, 17)) * 255]
@@ -91,6 +97,14 @@ class TestCacheRoundTrip:
         save_database_cache(db, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
+            load_database_cache(path)
+
+    def test_zero_patch_size_header_rejected(self, tmp_path, rng):
+        path = tmp_path / "patches.cache"
+        save_database_cache(_random_db(rng), path)
+        magic = path.read_bytes().split(b"\n", 1)[0] + b"\n"
+        path.write_bytes(magic + struct.pack("<IQ", 0, 3))  # 3 rows of 0 values
+        with pytest.raises(ValueError, match="patch_size must be >= 1"):
             load_database_cache(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -8,7 +8,7 @@ import pytest
 
 from patchdenoise import add_gaussian_noise, build_database, pipeline, psnr
 from patchdenoise.database import Database
-from patchdenoise.imaging import extract_patch, plan_grid
+from patchdenoise.imaging import aggregate, extract_patch, plan_grid
 from patchdenoise.pipeline import (
     DenoiseConfig,
     cell_seed,
@@ -60,17 +60,21 @@ class TestDenoisePatchContracts:
         phat = denoise_patch(q, db, _tiny_cfg(sigma=sigma, k=8, pool_size=10))
         assert np.linalg.norm(phat - truth) <= np.linalg.norm(q - truth)
 
-    def test_first_pass_selection_requires_pilot(self, rng):
+    def test_auto_selection_without_pilot_is_knn(self, rng):
         db = Database(patches=rng.standard_normal((30, 16)), patch_size=4)
-        cfg = _tiny_cfg(selection="first_pass")
-        with pytest.raises(ValueError, match="pilot"):
-            denoise_patch(rng.standard_normal(16), db, cfg)
+        q = rng.standard_normal(16)
+        np.testing.assert_array_equal(
+            denoise_patch(q, db, _tiny_cfg(selection="auto")),
+            denoise_patch(q, db, _tiny_cfg(selection="knn")),
+        )
 
-    def test_pilot_rule_requires_pilot(self, rng):
+    @pytest.mark.parametrize("selection", ["knn", "cross_similarity"])
+    def test_pilot_rule_without_pilot_shrinks_with_query(self, rng, selection):
         db = Database(patches=rng.standard_normal((30, 16)), patch_size=4)
-        cfg = _tiny_cfg(rule="bm3d_pilot")
-        with pytest.raises(ValueError, match="pilot"):
-            denoise_patch(rng.standard_normal(16), db, cfg)
+        q = rng.standard_normal(16)
+        cfg = _tiny_cfg(rule="bm3d_pilot", selection=selection)
+        np.testing.assert_array_equal(denoise_patch(q, db, cfg),
+                                      denoise_patch(q, db, cfg, pilot=q))
 
     def test_oracle_rule_requires_truth(self, rng):
         db = Database(patches=rng.standard_normal((30, 16)), patch_size=4)
@@ -95,6 +99,15 @@ class TestConfigValidation:
             DenoiseConfig(sigma=10.0, selection="sometimes")
         with pytest.raises(ValueError):
             DenoiseConfig(sigma=10.0, k=50, pool_size=40)
+        for patch_size in (0, -3):
+            with pytest.raises(ValueError, match="patch_size must be >= 1"):
+                DenoiseConfig(sigma=10.0, patch_size=patch_size)
+        for strides in ({"stride_pass1": 0}, {"stride_pass2": -1}):
+            with pytest.raises(ValueError, match="stride must be >= 1"):
+                DenoiseConfig(sigma=10.0, **strides)
+        for strides in ({"stride_pass1": 9}, {"stride_pass2": 9}):
+            with pytest.raises(ValueError, match="stride 9 > patch_size 8"):
+                DenoiseConfig(sigma=10.0, **strides)
         with pytest.raises(ValueError):
             DenoiseConfig(sigma=10.0, passes=3)
         with pytest.raises(ValueError):
@@ -105,6 +118,11 @@ class TestConfigValidation:
         for bandwidth in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="bandwidth"):
                 DenoiseConfig(sigma=10.0, bandwidth=bandwidth)
+
+    def test_first_pass_is_not_a_selection(self):
+        # 'auto' already refines around the pass-1 pilot in pass 2.
+        with pytest.raises(ValueError, match="unknown selection 'first_pass'"):
+            DenoiseConfig(sigma=10.0, selection="first_pass")
 
     def test_auto_schedules_resolve(self):
         cfg = DenoiseConfig(sigma=50.0)
@@ -177,10 +195,35 @@ class TestDenoiseImage:
         clean, db = tiny_scene
         noisy = add_gaussian_noise(clean, 12.0, 10)
         for rule in ("bayes", "bayes_l1", "bayes_l0", "lpg", "bm3d_pilot"):
-            for selection in ("auto", "knn", "cross_similarity", "first_pass"):
+            for selection in ("auto", "knn", "cross_similarity"):
                 cfg = _tiny_cfg(sigma=12.0, rule=rule, selection=selection)
                 out, _ = denoise_image(noisy, db, cfg)
                 assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("rule", ["bayes", "bm3d_pilot"])
+    def test_passes_are_denoise_patch_without_then_with_pilot(self, tiny_scene,
+                                                             rule):
+        clean, db = tiny_scene
+        noisy = add_gaussian_noise(clean, 12.0, 14)
+        cfg = _tiny_cfg(sigma=12.0, rule=rule)
+
+        def one_pass(stride, pilot_image):
+            locs = plan_grid(32, 32, 4, stride)
+            estimates = []
+            for loc in locs:
+                pilot = None
+                if pilot_image is not None:
+                    pilot = extract_patch(pilot_image, loc, 4)
+                q = extract_patch(noisy, loc, 4)
+                estimates.append(denoise_patch(q, db, cfg, pilot=pilot))
+            return aggregate(zip(estimates, locs), 32, 32)
+
+        first = one_pass(cfg.stride_pass1, None)
+        second = one_pass(cfg.stride_pass2, first)
+        out, _ = denoise_image(noisy, db, cfg)
+        np.testing.assert_array_equal(out, second)
+        one, _ = denoise_image(noisy, db, dataclasses.replace(cfg, passes=1))
+        np.testing.assert_array_equal(one, first)
 
     def test_metrics_none_without_clean(self, tiny_scene):
         clean, db = tiny_scene
