@@ -27,6 +27,8 @@ __all__ = [
     "cross_similarity_scores",
     "first_pass_scores",
     "k_smallest",
+    "half_norms",
+    "screen",
     "compute_weights",
     "database_quality",
 ]
@@ -218,6 +220,104 @@ def refine_first_pass(
     e = cdist(pbar[None, :], db.patches[pool])[0]
     scores = first_pass_scores(c, e, tau)
     return pool[np.lexsort((pool, scores))[:k]]
+
+
+# ---------------------------------------------------------------------------
+# Screening: a block GEMM bounds each query's search to a few candidate rows
+# ---------------------------------------------------------------------------
+
+_UNIT_ROUNDOFF = 2.0**-53
+_HASH_ROWS = 1024  # rows hashed or compared per step: about 0.5 MB each
+
+
+def _row_keys(patches: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row's values; +0.0 folds -0.0 into 0.0."""
+    n, d = patches.shape
+    mult = np.random.default_rng(0).integers(1, 2**63, d, dtype=np.uint64) | 1
+    keys = np.empty(n, dtype=np.uint64)
+    for start in range(0, n, _HASH_ROWS):
+        bits = (patches[start : start + _HASH_ROWS] + 0.0).view(np.uint64)
+        mixed = (bits ^ (bits >> 29)) * mult  # wraps modulo 2**64
+        keys[start : start + _HASH_ROWS] = (mixed ^ (mixed >> 32)).sum(axis=1)
+    return keys
+
+
+def _repeated_rows(patches: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the rows that have at least m identical rows at lower indices.
+
+    Rows are grouped by _row_keys, and neighbours in (key, index) order are
+    compared value by value, so a hash collision can only end a run of
+    identical rows early: a row is never reported without m true copies
+    before it.
+    """
+    keys = _row_keys(patches)
+    order = np.argsort(keys, kind="stable")
+    same = keys[order[1:]] == keys[order[:-1]]
+    pairs = np.flatnonzero(same)
+    for start in range(0, len(pairs), _HASH_ROWS):
+        at = pairs[start : start + _HASH_ROWS]
+        same[at] = np.all(patches[order[at]] == patches[order[at + 1]], axis=1)
+    pos = np.arange(len(keys))
+    run_start = np.maximum.accumulate(np.where(np.r_[True, ~same], pos, 0))
+    return order[pos - run_start >= m]
+
+
+def half_norms(db: Database, m: int) -> np.ndarray:
+    """½‖x‖² per database row, the row term of screen's ranking.
+
+    A row with m identical rows at lower indices gets inf: cdist gives
+    identical rows identical distances and ties go to the lower index, so
+    such a row is never among a query's m nearest. Rejects a database with
+    a non-finite value (or a squared norm beyond float64) with ValueError.
+    """
+    patches = np.asarray(db.patches, dtype=np.float64)
+    norms = 0.5 * np.einsum("ij,ij->i", patches, patches)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("database patches must hold finite values "
+                         "with finite squared norms")
+    if len(db) > m:
+        norms[_repeated_rows(patches, m)] = np.inf
+    return norms
+
+
+def screen(db: Database, queries, norms: np.ndarray, m: int) -> list:
+    """Candidate rows, ascending, that hold each query's exact m nearest.
+
+    One GEMM ranks every row by h = ½‖x‖² − x·q, which orders rows as
+    ‖x − q‖² does. Every row with h within tol of the query's m-th smallest
+    h is kept, so the kept rows contain the first m of
+    np.argsort(cdist(q, rows), kind="stable"); ranking them in index order
+    reproduces that order exactly. None means the whole database, as for
+    every query when the database has no more than m rows.
+
+    tol bounds the rounding, with u = 2**-53 and R the largest row norm.
+    With B = ½(R + ‖q‖)², computed h is within (d + 1)·u·B of exact h, and
+    cdist's squared distances are within a relative (d + 4)·u of exact.
+    A row among cdist's m nearest is no farther than one of the m rows of
+    smallest computed h, so its exact h exceeds theirs by at most
+    2(d + 4)·u·B, and its computed h exceeds the m-th smallest by at most
+    (4d + 10)·u·B. tol = 4(d + 4)·u·(R + ‖q‖)² = 8(d + 4)·u·B leaves margin
+    for rounding the threshold itself.
+    """
+    if len(db) <= m:
+        return [None] * len(queries)
+    queries = np.asarray(queries, dtype=np.float64)
+    patches = np.asarray(db.patches, dtype=np.float64)
+    d = patches.shape[1]
+    scores = queries @ patches.T
+    np.subtract(norms, scores, out=scores)
+    # Every cut (inf) row has a kept copy, so this is the largest row norm.
+    radius = np.sqrt(2.0 * np.max(norms, where=norms < np.inf, initial=0.0))
+    out = []
+    for h, q in zip(scores, queries):
+        reach = radius + np.sqrt(q @ q)
+        if not reach < 2.0**500:  # a sum of squares could overflow
+            out.append(None)
+            continue
+        kth = np.partition(h, m - 1)[m - 1]
+        tol = 4 * (d + 4) * _UNIT_ROUNDOFF * reach**2
+        out.append(np.flatnonzero(h <= kth + tol))
+    return out
 
 
 def compute_weights(q, selected, h: float) -> np.ndarray:

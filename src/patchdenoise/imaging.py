@@ -181,13 +181,18 @@ def plan_grid(width: int, height: int, patch_size: int, stride: int) -> np.ndarr
 
 
 def extract_patch(img, loc, patch_size: int) -> np.ndarray:
-    """Extract the row-major flattened patch with top-left corner loc."""
-    img = as_image(img)
+    """Extract the row-major flattened patch with top-left corner loc.
+
+    Only the window read is checked to be finite, not the whole image.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError(f"image must be 2-D, got shape {img.shape}")
     r, c = int(loc[0]), int(loc[1])
     h, w = img.shape
     if r < 0 or c < 0 or r + patch_size > h or c + patch_size > w:
         raise ValueError(f"patch at {(r, c)} size {patch_size} exceeds image {h}x{w}")
-    return img[r : r + patch_size, c : c + patch_size].ravel().copy()
+    return as_image(img[r : r + patch_size, c : c + patch_size]).flatten()
 
 
 def extract_patches(img, locs, patch_size: int) -> np.ndarray:

@@ -200,28 +200,45 @@ def denoise_patch(q, db, cfg: DenoiseConfig, pilot=None, truth=None) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads):
-    """denoise_patch over the stride grid, piloted by pilot_image if given."""
-    h, w = noisy.shape
-    locs = plan_grid(w, h, cfg.patch_size, stride)
+_SCREEN_BLOCK = 16  # queries per screening GEMM: 16 x len(db) float64 scores
 
-    def work(loc):
-        q = extract_patch(noisy, loc, cfg.patch_size)
-        pilot = None
-        if pilot_image is not None:
-            pilot = extract_patch(pilot_image, loc, cfg.patch_size)
-        truth = None
-        if cfg.rule == "oracle":
-            truth = extract_patch(clean, loc, cfg.patch_size)
-        return denoise_patch(q, db, cfg, pilot=pilot, truth=truth)
+
+def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, norms):
+    """denoise_patch over the stride grid, piloted by pilot_image if given.
+
+    When the database has more than m = min(pool_size, len(db)) rows, each
+    block of queries is screened first and each patch searches only its
+    candidate rows; they hold its exact m nearest in index order, so the
+    estimate is the one the whole database gives.
+    """
+    h, w = noisy.shape
+    p = cfg.patch_size
+    locs = plan_grid(w, h, p, stride)
+    m = min(cfg.pool_size, len(db))
+
+    def block(ix):
+        queries = [extract_patch(noisy, locs[i], p) for i in ix]
+        estimates = []
+        for i, q, cand in zip(ix, queries, dbmod.screen(db, queries, norms, m)):
+            pilot = truth = None
+            if pilot_image is not None:
+                pilot = extract_patch(pilot_image, locs[i], p)
+            if cfg.rule == "oracle":
+                truth = extract_patch(clean, locs[i], p)
+            sub = db if cand is None else dbmod.Database(db.patches[cand], p)
+            estimates.append(denoise_patch(q, sub, cfg, pilot=pilot, truth=truth))
+        return estimates
+
+    def chunk(ix):
+        return [est for start in range(0, len(ix), _SCREEN_BLOCK)
+                for est in block(ix[start : start + _SCREEN_BLOCK])]
 
     if threads <= 1:
-        estimates = [work(loc) for loc in locs]
+        estimates = chunk(np.arange(len(locs)))
     else:
         chunks = np.array_split(np.arange(len(locs)), threads * 4)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda ix: [work(locs[i]) for i in ix], chunks)
-            estimates = [est for part in parts for est in part]
+            estimates = [est for part in pool.map(chunk, chunks) for est in part]
     return aggregate(zip(estimates, locs), w, h)
 
 
@@ -237,14 +254,21 @@ def denoise_image(
         clean = as_image(clean)
     elif cfg.rule == "oracle":
         raise ValueError("rule 'oracle' requires the clean image")
+    if db.patch_size != cfg.patch_size:
+        raise ValueError(f"database patch size {db.patch_size} != "
+                         f"configured patch size {cfg.patch_size}")
+
+    norms = dbmod.half_norms(db, min(cfg.pool_size, len(db)))
 
     t0 = time.perf_counter()
-    first = _run_pass(noisy, db, cfg, cfg.stride_pass1, None, clean, threads)
+    first = _run_pass(noisy, db, cfg, cfg.stride_pass1, None, clean, threads,
+                      norms)
     t1 = time.perf_counter()
     result = first
     t2 = t1
     if cfg.passes == 2:
-        result = _run_pass(noisy, db, cfg, cfg.stride_pass2, first, clean, threads)
+        result = _run_pass(noisy, db, cfg, cfg.stride_pass2, first, clean,
+                           threads, norms)
         t2 = time.perf_counter()
 
     report = Report(

@@ -252,8 +252,12 @@ def test_criterion_09_database_quality_monotonicity(clean_scene, scene_db):
     assert psnr_non_increasing
 
 
-def test_criterion_10_cli_determinism(tmp_path, corpus):
-    """verify, denoise, and sweep write byte-identical outputs on reruns."""
+def test_criterion_10_cli_determinism(tmp_path, corpus, verify_runs):
+    """verify, denoise, and sweep write byte-identical outputs on reruns.
+
+    The two verify runs are the shared `verify --json` and `verify --seed 0
+    --json` runs; 0 is the default seed.
+    """
     clean, pages = corpus
     clean64 = clean[:64, :64]
     noisy64 = add_gaussian_noise(clean64, 30.0, NOISE_SEED)
@@ -267,9 +271,8 @@ def test_criterion_10_cli_determinism(tmp_path, corpus):
         (db_dir / f"page{i}.pgm").write_bytes(write_pgm(page[:64, :64]))
 
     outputs = {}
-    for run in ("a", "b"):
-        verify_json = tmp_path / f"verify_{run}.json"
-        assert main(["verify", "--seed", "0", "--json", str(verify_json)]) == 0
+    for run, (code, _, verify_bytes) in zip(("a", "b"), verify_runs):
+        assert code == 0
         out_pgm = tmp_path / f"denoised_{run}.pgm"
         out_json = tmp_path / f"report_{run}.json"
         assert main([
@@ -284,7 +287,7 @@ def test_criterion_10_cli_determinism(tmp_path, corpus):
             "--seed", "0",
         ]) == 0
         outputs[run] = tuple(
-            p.read_bytes() for p in (verify_json, out_pgm, out_json, sweep_csv)
+            [verify_bytes] + [p.read_bytes() for p in (out_pgm, out_json, sweep_csv)]
         )
     identical = outputs["a"] == outputs["b"]
     _report("10", identical,

@@ -1,7 +1,5 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
 
-import contextlib
-import io
 import json
 
 import numpy as np
@@ -258,24 +256,14 @@ class TestSweepCommand:
         assert err.value.code == 2
 
 
-@pytest.fixture(scope="module")
-def verify_run(tmp_path_factory):
-    """One default `verify --json` run: exit code, stdout, JSON bytes."""
-    path = tmp_path_factory.mktemp("verify") / "results.json"
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["verify", "--json", str(path)])
-    return code, out.getvalue(), path.read_bytes()
-
-
 class TestVerifyCommand:
-    def test_default_run_passes(self, verify_run):
-        code, out, _ = verify_run
+    def test_default_run_passes(self, verify_runs):
+        code, out, _ = verify_runs[0]
         assert code == 0
         assert "PASS" in out
 
-    def test_json_output_schema(self, verify_run):
-        code, _, payload = verify_run
+    def test_json_output_schema(self, verify_runs):
+        code, _, payload = verify_runs[0]
         results = json.loads(payload)
         assert code == 0
         assert isinstance(results, list) and results
@@ -283,10 +271,10 @@ class TestVerifyCommand:
             assert {"name", "measured", "reference", "tolerance",
                     "passed"} <= set(entry)
 
-    def test_fixed_seed_stable_measurements(self, verify_run, tmp_path):
-        again = tmp_path / "again.json"
-        assert main(["verify", "--seed", "0", "--json", str(again)]) == 0
-        assert again.read_bytes() == verify_run[2]
+    def test_fixed_seed_stable_measurements(self, verify_runs):
+        (_, _, default), (code, _, seed0) = verify_runs
+        assert code == 0
+        assert seed0 == default
 
 
 class TestQualityCommand:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from patchdenoise import database
 from patchdenoise.database import (
     Database,
     build_database,
@@ -20,6 +21,7 @@ from patchdenoise.database import (
     cross_similarity_scores,
     database_quality,
     first_pass_scores,
+    half_norms,
     k_smallest,
     knn,
     load_database,
@@ -27,6 +29,7 @@ from patchdenoise.database import (
     refine_cross_similarity,
     refine_first_pass,
     save_database_cache,
+    screen,
 )
 from patchdenoise.imaging import plan_grid, write_pgm
 from patchdenoise.pipeline import DenoiseConfig
@@ -192,6 +195,101 @@ class TestKSmallest:
         expected = np.argsort(values, kind="stable")
         for k in range(1, len(values) + 1):
             np.testing.assert_array_equal(k_smallest(values, k), expected[:k])
+
+
+
+# Integer values tie often and stay exact; signed zeros must count as equal;
+# large magnitudes make the GEMM round, which the screen's tol must absorb.
+_SCREEN_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-0.0, 2.0**30, -(2.0**30), 2.0**30 + 1, 1e6 + 3]),
+)
+
+
+@st.composite
+def _screen_cases(draw):
+    """(db, query, pilot): rows drawn from a few distinct rows, so many repeat."""
+    d = 4
+    vector = st.lists(_SCREEN_VALUES, min_size=d, max_size=d)
+    base = draw(st.lists(vector, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=2, max_size=16))
+    patches = np.array([base[i] for i in picks])
+    return (Database(patches=patches, patch_size=2), np.array(draw(vector)),
+            np.array(draw(vector)))
+
+
+class TestScreen:
+    @settings(max_examples=200, deadline=None)
+    @given(_screen_cases())
+    def test_candidates_reproduce_every_search(self, case):
+        db, q, pilot = case
+        for m in range(1, len(db) + 1):
+            (rows,) = screen(db, [q], half_norms(db, m), m)
+            assert (rows is None) == (m == len(db))  # None: the whole database
+            if rows is None:
+                continue
+            assert np.all(np.diff(rows) > 0)
+            sub = Database(patches=db.patches[rows], patch_size=2)
+            for k in {1, (m + 1) // 2, m}:
+                np.testing.assert_array_equal(rows[knn(sub, q, k)], knn(db, q, k))
+                np.testing.assert_array_equal(
+                    rows[refine_first_pass(sub, q, pilot, m, k, 0.5)],
+                    refine_first_pass(db, q, pilot, m, k, 0.5))
+                np.testing.assert_array_equal(
+                    rows[refine_cross_similarity(sub, q, m, k, 0.1)],
+                    refine_cross_similarity(db, q, m, k, 0.1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_screen_cases())
+    def test_duplicate_cut_needs_m_identical_rows_below(self, case):
+        db, _, _ = case
+        P = db.patches
+        for m in range(1, len(db) + 1):
+            norms = half_norms(db, m)
+            for i in np.flatnonzero(np.isinf(norms)):
+                assert np.sum(np.all(P[:i] == P[i], axis=1)) >= m
+            kept = np.isfinite(norms)
+            np.testing.assert_array_equal(
+                norms[kept], 0.5 * np.einsum("ij,ij->i", P[kept], P[kept]))
+
+    def test_duplicate_cut_keeps_the_first_m_copies(self, rng):
+        row = np.round(10.0 * rng.standard_normal(16))
+        row[0] = 0.0
+        twin = row.copy()
+        twin[0] = -0.0  # equal values, different bytes
+        other = row + 1.0
+        P = np.array([other, row, twin, other, row, twin, row, other])
+        norms = half_norms(Database(patches=P, patch_size=4), 2)
+        # Copies of `row` sit at 1, 2, 4, 5, 6; of `other` at 0, 3, 7.
+        np.testing.assert_array_equal(np.flatnonzero(np.isinf(norms)), [4, 5, 6, 7])
+
+    def test_hash_collisions_never_cut_a_distinct_row(self, monkeypatch):
+        # Every key collides: only rows equal to their neighbour in index
+        # order still group, so the cut may shrink but never grows.
+        monkeypatch.setattr(database, "_row_keys",
+                            lambda patches: np.zeros(len(patches), np.uint64))
+        a, b = np.zeros(4), np.ones(4)
+        norms = half_norms(Database(patches=np.array([a, b, a, a, b]),
+                                    patch_size=2), 1)
+        np.testing.assert_array_equal(np.flatnonzero(np.isinf(norms)), [3])
+
+    def test_screen_keeps_about_m_rows(self, rng):
+        db = _random_db(rng, n=2000)
+        queries = 10.0 * rng.standard_normal((4, db.patches.shape[1]))
+        for rows in screen(db, queries, half_norms(db, 50), 50):
+            assert 50 <= len(rows) < 60
+
+    def test_huge_magnitudes_search_the_whole_database(self, rng):
+        db = Database(patches=1e150 * rng.integers(-3, 4, (30, 16)).astype(float),
+                      patch_size=4)
+        assert screen(db, db.patches[:2], half_norms(db, 5), 5) == [None, None]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_rows_rejected(self, rng, bad):
+        db = _random_db(rng)
+        db.patches[7, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            half_norms(db, 10)
 
 
 def _cross_similarity_with_cdist(db, q, m, k, tau):

@@ -151,6 +151,13 @@ class TestPatchExtraction:
         img = rng.random((8, 8))
         np.testing.assert_array_equal(extract_patch(img, (0, 0), 8), img.ravel())
 
+    def test_only_the_window_must_be_finite(self):
+        img = np.zeros((8, 8))
+        img[6, 1] = np.nan
+        np.testing.assert_array_equal(extract_patch(img, (0, 0), 4), np.zeros(16))
+        with pytest.raises(ValueError, match="finite"):
+            extract_patch(img, (4, 0), 4)
+
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError):
             extract_patch(np.zeros((8, 8)), (2, 2), 8)

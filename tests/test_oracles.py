@@ -1,5 +1,7 @@
 """The verification battery itself: estimator sanity and mutation checks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -141,20 +143,21 @@ class TestRandomOrthonormal:
 
 
 @pytest.fixture(scope="module")
-def default_battery():
-    """One verify_all(0) run, shared by the tests that only read it."""
-    return verify_all(0)
+def default_battery(verify_runs):
+    """The seed-0 battery's results, as the default `verify --json` wrote them."""
+    return json.loads(verify_runs[0][2])
 
 
 class TestVerifyAll:
     def test_default_battery_passes(self, default_battery):
         results = default_battery
         assert len(results) == 7
-        assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+        assert all(r["passed"] for r in results), [
+            r["name"] for r in results if not r["passed"]]
 
-    def test_repeat_run_identical_measurements(self, default_battery):
-        again = verify_all(0)
-        assert [r.measured for r in again] == [r.measured for r in default_battery]
+    def test_repeat_run_identical_measurements(self, default_battery, verify_runs):
+        again = json.loads(verify_runs[1][2])
+        assert [r["measured"] for r in again] == [r["measured"] for r in default_battery]
 
     def test_corrupted_shrinkage_rule_detected(self):
         corrupted = lambda s, sigma: filters.spectrum_bayes(s, sigma) + 0.1
@@ -165,8 +168,8 @@ class TestVerifyAll:
         assert all(r.passed for r in others)
 
     def test_results_serialize(self, default_battery):
-        payload = default_battery[0].to_dict()
-        assert set(payload) == {
+        # The JSON entries are VerificationResult.to_dict() payloads.
+        assert set(default_battery[0]) == {
             "name", "measured", "reference", "tolerance", "mode", "passed",
             "trials", "seed",
         }

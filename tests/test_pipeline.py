@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from patchdenoise import add_gaussian_noise, build_database, pipeline, psnr
+from patchdenoise import database as dbmod
 from patchdenoise.database import Database
 from patchdenoise.imaging import aggregate, extract_patch, plan_grid
 from patchdenoise.pipeline import (
@@ -202,28 +203,62 @@ class TestDenoiseImage:
 
     @pytest.mark.parametrize("rule", ["bayes", "bm3d_pilot"])
     def test_passes_are_denoise_patch_without_then_with_pilot(self, tiny_scene,
-                                                             rule):
+                                                             monkeypatch, rule):
+        # tiny_scene has more rows than pool_size, so denoise_image screens
+        # the search while the loop below searches the whole database.
         clean, db = tiny_scene
         noisy = add_gaussian_noise(clean, 12.0, 14)
-        cfg = _tiny_cfg(sigma=12.0, rule=rule)
+        kept, screen = [], dbmod.screen
 
-        def one_pass(stride, pilot_image):
-            locs = plan_grid(32, 32, 4, stride)
-            estimates = []
-            for loc in locs:
-                pilot = None
-                if pilot_image is not None:
-                    pilot = extract_patch(pilot_image, loc, 4)
-                q = extract_patch(noisy, loc, 4)
-                estimates.append(denoise_patch(q, db, cfg, pilot=pilot))
-            return aggregate(zip(estimates, locs), 32, 32)
+        def spy(*args):
+            rows = screen(*args)
+            kept.extend(len(r) for r in rows)
+            return rows
 
-        first = one_pass(cfg.stride_pass1, None)
-        second = one_pass(cfg.stride_pass2, first)
-        out, _ = denoise_image(noisy, db, cfg)
-        np.testing.assert_array_equal(out, second)
-        one, _ = denoise_image(noisy, db, dataclasses.replace(cfg, passes=1))
-        np.testing.assert_array_equal(one, first)
+        monkeypatch.setattr(dbmod, "screen", spy)
+        for selection in ("auto", "cross_similarity"):
+            cfg = _tiny_cfg(sigma=12.0, rule=rule, selection=selection)
+
+            def one_pass(stride, pilot_image):
+                locs = plan_grid(32, 32, 4, stride)
+                estimates = []
+                for loc in locs:
+                    pilot = None
+                    if pilot_image is not None:
+                        pilot = extract_patch(pilot_image, loc, 4)
+                    q = extract_patch(noisy, loc, 4)
+                    estimates.append(denoise_patch(q, db, cfg, pilot=pilot))
+                return aggregate(zip(estimates, locs), 32, 32)
+
+            first = one_pass(cfg.stride_pass1, None)
+            second = one_pass(cfg.stride_pass2, first)
+            for threads in (1, 2):
+                out, _ = denoise_image(noisy, db, cfg, threads=threads)
+                np.testing.assert_array_equal(out, second)
+            one, _ = denoise_image(noisy, db, dataclasses.replace(cfg, passes=1))
+            np.testing.assert_array_equal(one, first)
+        assert len(db) > cfg.pool_size
+        assert kept and max(kept) < len(db)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_database_rejected_before_any_patch(self, tiny_scene,
+                                                          monkeypatch, bad):
+        clean, db = tiny_scene
+        patches = db.patches.copy()
+        patches[100, 3] = bad
+        calls = []
+        monkeypatch.setattr(pipeline, "denoise_patch",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="finite"):
+            denoise_image(clean, Database(patches=patches, patch_size=4),
+                          _tiny_cfg())
+        assert calls == []
+
+    def test_database_patch_size_must_match(self, tiny_scene):
+        clean, db = tiny_scene
+        with pytest.raises(ValueError, match="patch size 4 != configured patch size 2"):
+            denoise_image(clean, db, _tiny_cfg(patch_size=2, stride_pass1=2,
+                                               stride_pass2=1))
 
     def test_metrics_none_without_clean(self, tiny_scene):
         clean, db = tiny_scene
