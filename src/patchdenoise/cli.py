@@ -71,7 +71,7 @@ def _add_pipeline_args(sub):
     _setting(sub, "--stride1", "stride_pass1", type=int)
     _setting(sub, "--stride2", "stride_pass2", type=int)
     sub.add_argument("--threads", type=int, default=0,
-                     help="worker threads (0 = all cores)")
+                     help="worker threads (0 = one per core this process may use)")
     sub.add_argument("--timing", action="store_true",
                      help="write real wall-clock timings into output files")
 
@@ -137,9 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(requested: int) -> int:
+    """--threads, where 0 means one per core this process may run on."""
     if requested < 0:
         raise ValueError(f"--threads must be >= 0, got {requested}")
-    return requested or os.cpu_count() or 1
+    if requested:
+        return requested
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _config(args, **cell) -> DenoiseConfig:

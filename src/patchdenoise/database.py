@@ -28,6 +28,8 @@ __all__ = [
     "first_pass_scores",
     "k_smallest",
     "half_norms",
+    "ScreenIndex",
+    "screen_index",
     "screen",
     "compute_weights",
     "database_quality",
@@ -226,8 +228,10 @@ def refine_first_pass(
 # Screening: a block GEMM bounds each query's search to a few candidate rows
 # ---------------------------------------------------------------------------
 
-_UNIT_ROUNDOFF = 2.0**-53
-_HASH_ROWS = 1024  # rows hashed or compared per step: about 0.5 MB each
+_CHUNK_ROWS = 1024  # rows hashed, compared or gathered per step: about 0.5 MB
+SCREEN_BLOCK = 16  # queries per screening GEMM: 16 x r float32 scores
+_GUARD = 2.0**60  # R + ‖q‖ below this keeps every screen value in float32 range
+_MAX_DIM = 2**10  # patches up to 32 x 32: screen's tol assumes d·2**-24 <= 2**-14
 
 
 def _row_keys(patches: np.ndarray) -> np.ndarray:
@@ -235,10 +239,10 @@ def _row_keys(patches: np.ndarray) -> np.ndarray:
     n, d = patches.shape
     mult = np.random.default_rng(0).integers(1, 2**63, d, dtype=np.uint64) | 1
     keys = np.empty(n, dtype=np.uint64)
-    for start in range(0, n, _HASH_ROWS):
-        bits = (patches[start : start + _HASH_ROWS] + 0.0).view(np.uint64)
+    for start in range(0, n, _CHUNK_ROWS):
+        bits = (patches[start : start + _CHUNK_ROWS] + 0.0).view(np.uint64)
         mixed = (bits ^ (bits >> 29)) * mult  # wraps modulo 2**64
-        keys[start : start + _HASH_ROWS] = (mixed ^ (mixed >> 32)).sum(axis=1)
+        keys[start : start + _CHUNK_ROWS] = (mixed ^ (mixed >> 32)).sum(axis=1)
     return keys
 
 
@@ -254,8 +258,8 @@ def _repeated_rows(patches: np.ndarray, m: int) -> np.ndarray:
     order = np.argsort(keys, kind="stable")
     same = keys[order[1:]] == keys[order[:-1]]
     pairs = np.flatnonzero(same)
-    for start in range(0, len(pairs), _HASH_ROWS):
-        at = pairs[start : start + _HASH_ROWS]
+    for start in range(0, len(pairs), _CHUNK_ROWS):
+        at = pairs[start : start + _CHUNK_ROWS]
         same[at] = np.all(patches[order[at]] == patches[order[at + 1]], axis=1)
     pos = np.arange(len(keys))
     run_start = np.maximum.accumulate(np.where(np.r_[True, ~same], pos, 0))
@@ -263,12 +267,13 @@ def _repeated_rows(patches: np.ndarray, m: int) -> np.ndarray:
 
 
 def half_norms(db: Database, m: int) -> np.ndarray:
-    """½‖x‖² per database row, the row term of screen's ranking.
+    """½‖x‖² per database row (float64), the row term of screen's ranking.
 
     A row with m identical rows at lower indices gets inf: cdist gives
     identical rows identical distances and ties go to the lower index, so
-    such a row is never among a query's m nearest. Rejects a database with
-    a non-finite value (or a squared norm beyond float64) with ValueError.
+    such a row is never among a query's m nearest, and screen_index leaves
+    it out of the float32 table. Rejects a database with a non-finite value
+    (or a squared norm beyond float64) with ValueError.
     """
     patches = np.asarray(db.patches, dtype=np.float64)
     norms = 0.5 * np.einsum("ij,ij->i", patches, patches)
@@ -280,43 +285,101 @@ def half_norms(db: Database, m: int) -> np.ndarray:
     return norms
 
 
-def screen(db: Database, queries, norms: np.ndarray, m: int) -> list:
+@dataclass(frozen=True)
+class ScreenIndex:
+    """What screen needs of a database, built once by screen_index.
+
+    rows: ascending database indices of the rows with a finite half norm.
+    table: those rows as one contiguous (d, r) float32 array, and norms:
+    their half norms in float32; both are None when every query searches
+    the whole database. radius: R, the largest row norm. m: the number of
+    nearest rows every query's candidates must hold.
+    """
+
+    rows: np.ndarray
+    table: np.ndarray | None
+    norms: np.ndarray | None
+    radius: float
+    m: int
+
+
+def screen_index(db: Database, m: int) -> ScreenIndex:
+    """The screen of db for each query's m nearest rows.
+
+    The rows left by half_norms (which also rejects a non-finite database)
+    are gathered into the float32 table _CHUNK_ROWS at a time, so they are
+    never all copied in float64 at once. No table is built when the database
+    has no more than m rows, when R reaches _GUARD (no value outside
+    float32 range is ever cast), or when d exceeds _MAX_DIM: screen then
+    returns None, the whole database, for every query.
+    """
+    norms = half_norms(db, m)
+    rows = np.flatnonzero(np.isfinite(norms))
+    # Every cut (inf) row has a kept copy, so this is the largest row norm.
+    radius = float(np.sqrt(2.0 * np.max(norms[rows])))
+    d = db.patches.shape[1]
+    if len(db) <= m or not radius < _GUARD or d > _MAX_DIM:
+        return ScreenIndex(rows, None, None, radius, m)
+    table = np.empty((d, len(rows)), dtype=np.float32)
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        part = rows[start : start + _CHUNK_ROWS]
+        table[:, start : start + len(part)] = db.patches[part].T
+    return ScreenIndex(rows, table, norms[rows].astype(np.float32), radius, m)
+
+
+def screen(index: ScreenIndex, queries) -> list:
     """Candidate rows, ascending, that hold each query's exact m nearest.
 
-    One GEMM ranks every row by h = ½‖x‖² − x·q, which orders rows as
-    ‖x − q‖² does. Every row with h within tol of the query's m-th smallest
-    h is kept, so the kept rows contain the first m of
-    np.argsort(cdist(q, rows), kind="stable"); ranking them in index order
-    reproduces that order exactly. None means the whole database, as for
-    every query when the database has no more than m rows.
+    One float32 GEMM ranks the index's r rows for all the given queries
+    (callers pass blocks of SCREEN_BLOCK, which bounds its scores) by
+    h = ½‖x‖² − x·q, which orders rows as ‖x − q‖² does. Every row with
+    computed h within tol of the query's m-th smallest computed h is kept,
+    so the kept rows contain the first m of
+    np.argsort(cdist(q, db.patches), kind="stable"); ranking them in index
+    order reproduces that order exactly. None means the whole database: for
+    every query when the index has no table, and for a query with
+    R + ‖q‖ >= _GUARD, which is never cast to float32.
 
-    tol bounds the rounding, with u = 2**-53 and R the largest row norm.
-    With B = ½(R + ‖q‖)², computed h is within (d + 1)·u·B of exact h, and
-    cdist's squared distances are within a relative (d + 4)·u of exact.
-    A row among cdist's m nearest is no farther than one of the m rows of
-    smallest computed h, so its exact h exceeds theirs by at most
-    2(d + 4)·u·B, and its computed h exceeds the m-th smallest by at most
-    (4d + 10)·u·B. tol = 4(d + 4)·u·(R + ‖q‖)² = 8(d + 4)·u·B leaves margin
-    for rounding the threshold itself.
+    tol bounds the rounding. Let u = 2**-24 and η = 2**-126: one float32
+    rounding, with gradual underflow or flush-to-zero, errs by at most
+    u·|exact| + η. Let a = ‖x‖ <= R, b = ‖q‖ and B = ½(R + b)², so that
+    ab <= B/2 and a² + 2ab <= 2B; as R + b < 2**60, every value below stays
+    under 2**120, and as d <= _MAX_DIM, du <= 2**-14. Computed h errs from
+    exact h by at most the sum of
+      - rounding x and q to float32: 2u·ab(1 + u) + η√d(a + b)(1 + u) + dη²;
+      - the float32 GEMM, in any summation order, with or without FMA:
+        γ_d·Σ|x̂ᵢq̂ᵢ| + 2dη(1 + γ_d), with γ_d = du/(1 − du), which is at most
+        du·ab(1 + 2**-12) + 2**-13·η√d(a + b) + 2dη(1 + 2**-13) + d²uη²;
+      - rounding ½‖x‖², computed in float64 within (d + 1)·2**-53 of exact,
+        to float32: u·½a²(1 + 2**-18) + η;
+      - the float32 subtraction: u(½a² + ab)(1 + 2**-13) + 2η.
+    The ab and a² terms sum to at most (1 + 2**-12)((d + 3)ab + a²) <=
+    ((d + 5)/2 + 1/4)·u·B, and η√d(R + b) <= uB + dη²/(2u) bounds the
+    √d terms, so E = ((d + 8)/2)·u·B + 7dη bounds the error. A row y among
+    cdist's m nearest is in the table (half_norms cuts no such row), and it
+    is no farther by cdist than some row z among the m of smallest computed
+    h; cdist's squared distances are within a relative
+    (d + 4)·2**-53 of exact, so exact h(y) <= h(z) + 2**-18·u·B + η, and
+    computed h(y) exceeds the m-th smallest computed h by at most
+    2E + 2**-18·u·B + η. Rounding the threshold (m-th smallest + tol, at
+    most about B in magnitude) to float32 once costs at most
+    u·B(1 + 2**-13) + 2η more. So tol = (d + 12)·u·B + 32dη covers every
+    term with room to spare.
     """
-    if len(db) <= m:
-        return [None] * len(queries)
     queries = np.asarray(queries, dtype=np.float64)
-    patches = np.asarray(db.patches, dtype=np.float64)
-    d = patches.shape[1]
-    scores = queries @ patches.T
-    np.subtract(norms, scores, out=scores)
-    # Every cut (inf) row has a kept copy, so this is the largest row norm.
-    radius = np.sqrt(2.0 * np.max(norms, where=norms < np.inf, initial=0.0))
-    out = []
-    for h, q in zip(scores, queries):
-        reach = radius + np.sqrt(q @ q)
-        if not reach < 2.0**500:  # a sum of squares could overflow
-            out.append(None)
-            continue
-        kth = np.partition(h, m - 1)[m - 1]
-        tol = 4 * (d + 4) * _UNIT_ROUNDOFF * reach**2
-        out.append(np.flatnonzero(h <= kth + tol))
+    if index.table is None:
+        return [None] * len(queries)
+    d, m = len(index.table), index.m
+    reach = index.radius + np.sqrt(np.einsum("ij,ij->i", queries, queries))
+    near = np.flatnonzero(reach < _GUARD)  # NaN and inf fail too
+    h = queries[near].astype(np.float32) @ index.table
+    np.subtract(index.norms, h, out=h)
+    kth = np.partition(h, m - 1, axis=1)[:, m - 1]
+    tol = (d + 12) * 2.0**-25 * reach[near] ** 2 + d * 2.0**-121
+    limit = (kth + tol).astype(np.float32)
+    out = [None] * len(queries)
+    for i, row, cut in zip(near, h, limit):
+        out[i] = index.rows[np.flatnonzero(row <= cut)]
     return out
 
 
@@ -349,22 +412,17 @@ def database_quality(db: Database, clean) -> float:
     For each of the m dense patches p_i of the clean image, take the minimum
     Euclidean distance to any database patch, normalized by sqrt(d); return
     the mean over i. Zero iff every clean patch appears in the database.
+    The screen (m = 1) narrows each patch to candidate rows that hold its
+    nearest, and cdist measures the distances to them exactly.
     """
     clean = as_image(clean)
     h, w = clean.shape
     dense = extract_patches(clean, plan_grid(w, h, db.patch_size, 1), db.patch_size)
-    d = db.patches.shape[1]
-    # Nearest neighbors located via the Gram expansion (BLAS speed), then the
-    # winning distances recomputed directly so exact matches report exactly 0.
-    db_sq = np.einsum("ij,ij->i", db.patches, db.patches)
-    total = 0.0
-    chunk = max(1, int(2e7) // max(len(db), 1))
-    for start in range(0, len(dense), chunk):
-        block = dense[start : start + chunk]
-        block_sq = np.einsum("ij,ij->i", block, block)
-        sq = block_sq[:, None] + db_sq[None, :] - 2.0 * (block @ db.patches.T)
-        nearest = np.argmin(sq, axis=1)
-        diffs = block - db.patches[nearest]
-        total += np.sqrt(np.einsum("ij,ij->i", diffs, diffs)).sum()
-    return total / (len(dense) * np.sqrt(d))
-
+    index = screen_index(db, 1)
+    nearest = np.empty(len(dense))
+    for start in range(0, len(dense), SCREEN_BLOCK):
+        block = dense[start : start + SCREEN_BLOCK]
+        for i, rows in enumerate(screen(index, block), start):
+            candidates = db.patches if rows is None else db.patches[rows]
+            nearest[i] = cdist(dense[i][None, :], candidates).min()
+    return nearest.sum() / (len(dense) * np.sqrt(db.patches.shape[1]))

@@ -200,26 +200,22 @@ def denoise_patch(q, db, cfg: DenoiseConfig, pilot=None, truth=None) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-_SCREEN_BLOCK = 16  # queries per screening GEMM: 16 x len(db) float64 scores
-
-
-def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, norms):
+def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
     """denoise_patch over the stride grid, piloted by pilot_image if given.
 
-    When the database has more than m = min(pool_size, len(db)) rows, each
-    block of queries is screened first and each patch searches only its
-    candidate rows; they hold its exact m nearest in index order, so the
-    estimate is the one the whole database gives.
+    Each block of queries is screened first (index, from
+    database.screen_index) and each patch searches only its candidate rows;
+    they hold its exact m = min(pool_size, len(db)) nearest in index order,
+    so the estimate is the one the whole database gives.
     """
     h, w = noisy.shape
     p = cfg.patch_size
     locs = plan_grid(w, h, p, stride)
-    m = min(cfg.pool_size, len(db))
 
     def block(ix):
         queries = [extract_patch(noisy, locs[i], p) for i in ix]
         estimates = []
-        for i, q, cand in zip(ix, queries, dbmod.screen(db, queries, norms, m)):
+        for i, q, cand in zip(ix, queries, dbmod.screen(index, queries)):
             pilot = truth = None
             if pilot_image is not None:
                 pilot = extract_patch(pilot_image, locs[i], p)
@@ -230,8 +226,8 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, norms):
         return estimates
 
     def chunk(ix):
-        return [est for start in range(0, len(ix), _SCREEN_BLOCK)
-                for est in block(ix[start : start + _SCREEN_BLOCK])]
+        return [est for start in range(0, len(ix), dbmod.SCREEN_BLOCK)
+                for est in block(ix[start : start + dbmod.SCREEN_BLOCK])]
 
     if threads <= 1:
         estimates = chunk(np.arange(len(locs)))
@@ -258,17 +254,17 @@ def denoise_image(
         raise ValueError(f"database patch size {db.patch_size} != "
                          f"configured patch size {cfg.patch_size}")
 
-    norms = dbmod.half_norms(db, min(cfg.pool_size, len(db)))
+    index = dbmod.screen_index(db, min(cfg.pool_size, len(db)))
 
     t0 = time.perf_counter()
     first = _run_pass(noisy, db, cfg, cfg.stride_pass1, None, clean, threads,
-                      norms)
+                      index)
     t1 = time.perf_counter()
     result = first
     t2 = t1
     if cfg.passes == 2:
         result = _run_pass(noisy, db, cfg, cfg.stride_pass2, first, clean,
-                           threads, norms)
+                           threads, index)
         t2 = time.perf_counter()
 
     report = Report(

@@ -1,12 +1,13 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from patchdenoise import pipeline
-from patchdenoise.cli import _config, build_parser, main
+from patchdenoise.cli import _config, _resolve_threads, build_parser, main
 from patchdenoise.database import build_database, database_quality
 from patchdenoise.imaging import add_gaussian_noise, read_pgm, write_pgm
 from patchdenoise.pipeline import DenoiseConfig
@@ -121,6 +122,18 @@ class TestDenoiseCommand:
         assert code == 2
         assert "--threads must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_threads_means_the_cores_this_process_may_run_on(self,
+                                                                  monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _resolve_threads(0) == 2
+        assert _resolve_threads(5) == 5
+        monkeypatch.delattr(os, "sched_getaffinity")  # not on every platform
+        assert _resolve_threads(0) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_threads(0) == 1
 
     def test_missing_input_file_is_io_error(self, workspace):
         tmp, _, _, db_dir = workspace

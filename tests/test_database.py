@@ -5,11 +5,12 @@ validate each search operation independently of its implementation.
 """
 
 import struct
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
 
@@ -30,6 +31,7 @@ from patchdenoise.database import (
     refine_first_pass,
     save_database_cache,
     screen,
+    screen_index,
 )
 from patchdenoise.imaging import plan_grid, write_pgm
 from patchdenoise.pipeline import DenoiseConfig
@@ -200,32 +202,66 @@ class TestKSmallest:
 
 # Integer values tie often and stay exact; signed zeros must count as equal;
 # large magnitudes make the GEMM round, which the screen's tol must absorb.
+# 0.1, 1/3 and 2**24 + 1 round when cast to float32, 2**-140 is subnormal
+# there, and 2**61 puts R + ‖q‖ past the guard, so the query is not screened.
+_GUARD = 2.0**60
 _SCREEN_VALUES = st.one_of(
     st.integers(-3, 3).map(float),
-    st.sampled_from([-0.0, 2.0**30, -(2.0**30), 2.0**30 + 1, 1e6 + 3]),
+    st.sampled_from([-0.0, 2.0**30, -(2.0**30), 2.0**30 + 1, 1e6 + 3,
+                     0.1, 1 / 3, 2.0**24 + 1, 2.0**-140, 2.0**61]),
 )
 
 
 @st.composite
 def _screen_cases(draw):
-    """(db, query, pilot): rows drawn from a few distinct rows, so many repeat."""
+    """(db, query, pilot): rows drawn from a few distinct rows, so many repeat.
+
+    A shared offset turns small differences into near-ties that float32
+    rounds apart, in either order.
+    """
     d = 4
     vector = st.lists(_SCREEN_VALUES, min_size=d, max_size=d)
     base = draw(st.lists(vector, min_size=1, max_size=5))
     picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=2, max_size=16))
-    patches = np.array([base[i] for i in picks])
-    return (Database(patches=patches, patch_size=2), np.array(draw(vector)),
-            np.array(draw(vector)))
+    patches, q, pilot = (np.array([base[i] for i in picks]),
+                         np.array(draw(vector)), np.array(draw(vector)))
+    offset = draw(st.sampled_from([0.0, 1 / 3, 1e6 + 0.1, 2.0**24 + 1, 2.0**30]))
+    if offset:  # adding 0.0 would turn -0.0 into 0.0
+        patches, q, pilot = patches + offset, q + offset, pilot + offset
+    return Database(patches=patches, patch_size=2), q, pilot
+
+
+# Row 1 is nearer (squared distance 30 against 33), but float32 rounding of
+# values near 1e6 ranks row 0 first by more than a float64 tol would allow.
+_FLOAT32_REORDERS = (
+    Database(patches=1e6 + 0.1 + np.array([[-1.0, -2, 1, -2], [1, -2, 1, -1]]),
+             patch_size=2),
+    1e6 + 0.1 + np.array([-1.0, 2, 0, 2]),
+    np.full(4, 1e6),
+)
+# Near 2**-73 the products fall below float32's normal range, where rounding
+# errs by an absolute amount that the relative part of tol does not cover.
+_SUBNORMAL_SCORES = (
+    Database(patches=2.0**-73 * (1 / 3 + np.array([[0, -3, 4, 1], [1, 0, -5, 2],
+                                                   [5, 6, -3, -4]])),
+             patch_size=2),
+    2.0**-73 * (1 / 3 + np.array([-4, 0, 4, -6])),
+    np.zeros(4),
+)
 
 
 class TestScreen:
     @settings(max_examples=200, deadline=None)
     @given(_screen_cases())
+    @example(_FLOAT32_REORDERS)
+    @example(_SUBNORMAL_SCORES)
     def test_candidates_reproduce_every_search(self, case):
         db, q, pilot = case
+        past_guard = np.abs(np.r_[db.patches.ravel(), q]).max() > _GUARD
         for m in range(1, len(db) + 1):
-            (rows,) = screen(db, [q], half_norms(db, m), m)
-            assert (rows is None) == (m == len(db))  # None: the whole database
+            (rows,) = screen(screen_index(db, m), [q])
+            # None: the whole database
+            assert (rows is None) == (m == len(db) or past_guard)
             if rows is None:
                 continue
             assert np.all(np.diff(rows) > 0)
@@ -276,13 +312,27 @@ class TestScreen:
     def test_screen_keeps_about_m_rows(self, rng):
         db = _random_db(rng, n=2000)
         queries = 10.0 * rng.standard_normal((4, db.patches.shape[1]))
-        for rows in screen(db, queries, half_norms(db, 50), 50):
+        for rows in screen(screen_index(db, 50), queries):
             assert 50 <= len(rows) < 60
 
     def test_huge_magnitudes_search_the_whole_database(self, rng):
-        db = Database(patches=1e150 * rng.integers(-3, 4, (30, 16)).astype(float),
-                      patch_size=4)
-        assert screen(db, db.patches[:2], half_norms(db, 5), 5) == [None, None]
+        # Nothing past the guard is cast to float32, so nothing overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = 1e150 * rng.integers(-3, 4, (30, 16)).astype(float)
+            db = Database(patches=huge, patch_size=4)
+            index = screen_index(db, 5)
+            assert index.table is None
+            assert screen(index, db.patches[:2]) == [None, None]
+            # Within the guard, the database is screened, and only the query
+            # past it searches the whole database.
+            small = _random_db(rng, n=30)
+            index = screen_index(small, 5)
+            far, near = screen(index, [huge[0], small.patches[3]])
+            assert far is None and screen(index, huge[:1]) == [None]
+            sub = Database(patches=small.patches[near], patch_size=4)
+            np.testing.assert_array_equal(near[knn(sub, small.patches[3], 5)],
+                                          knn(small, small.patches[3], 5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     def test_non_finite_rows_rejected(self, rng, bad):
@@ -498,6 +548,17 @@ class TestDatabaseQuality:
                 best = min(np.linalg.norm(p - row) for row in db.patches)
                 dists.append(best / side)  # sqrt(d) = 4
         assert measured == pytest.approx(np.mean(dists), rel=1e-12)
+
+    def test_offset_rows_match_brute_force_cdist(self, rng):
+        # Rows 1e8 from the origin: a Gram expansion loses the differences
+        # that decide the nearest row.
+        for _ in range(10):
+            img = 1e8 + rng.random((6, 6))
+            db = Database(patches=1e8 + rng.random((40, 16)), patch_size=4)
+            dense = np.array([img[r : r + 4, c : c + 4].ravel()
+                              for r in range(3) for c in range(3)])
+            expected = cdist(dense, db.patches).min(axis=1).mean() / 4
+            assert database_quality(db, img) == pytest.approx(expected, rel=1e-12)
 
     def test_never_increases_when_patches_added(self, rng):
         img = rng.random((12, 12)) * 255
