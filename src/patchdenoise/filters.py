@@ -8,6 +8,8 @@ chosen by one of several rules.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,22 +52,42 @@ class PatchEnsemble:
 def group_sparse_basis(ens: PatchEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Basis minimizing the l12 norm of the projected patch matrix.
 
-    Eigendecomposes the symmetrized weighted second moment P W P^T. Returns
-    (U, s) with eigenvalues sorted descending and clamped at zero.
+    Eigendecomposes the symmetrized weighted second moment M = P W P^T.
+    Returns (U, s) with eigenvalues sorted descending and clamped at zero.
 
     Each eigenvector's sign is fixed so its largest-magnitude component is
     positive; the filter U diag(lam) U^T is invariant to this choice.
+
+    The eigendecomposition is memoized on the exact bytes (and dtype) of M,
+    keeping the 8 most recent: patches in a flat region select the same
+    references with the same weights, so they build a byte-identical M.
+    One-thread eigh is a deterministic function of those bytes, so a hit
+    returns exactly what a fresh call would; a -0.0/0.0 difference is just
+    a miss. U and s are shared between calls, so they are read-only: copy
+    them before writing. U keeps the layout the descending sort gives it
+    (Fortran order); apply_filter's U.T @ q sums in another order on a
+    C-ordered copy, so its last bits would differ.
     """
     M = (ens.P * ens.weights[None, :]) @ ens.P.T
     M = 0.5 * (M + M.T)  # kill floating-point asymmetry
-    vals, vecs = np.linalg.eigh(M)
+    return _eigh_basis(M.tobytes(), M.dtype)
+
+
+@functools.lru_cache(maxsize=8)
+def _eigh_basis(key: bytes, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    M = np.frombuffer(key, dtype=dtype)
+    d = math.isqrt(M.size)
+    vals, vecs = np.linalg.eigh(M.reshape(d, d))
     order = np.argsort(vals, kind="stable")[::-1]
     s = np.maximum(vals[order], 0.0)
     U = vecs[:, order]
     anchors = np.argmax(np.abs(U), axis=0)
     signs = np.sign(U[anchors, np.arange(U.shape[1])])
     signs[signs == 0] = 1.0
-    return U * signs[None, :], s
+    U = U * signs[None, :]
+    U.flags.writeable = False
+    s.flags.writeable = False
+    return U, s
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,16 @@ risk estimates for the shrinkage formulas, and exact algebraic identities
 for the fitted prior.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from patchdenoise import filters
 from patchdenoise.filters import (
     PatchEnsemble,
     apply_filter,
@@ -98,6 +105,76 @@ class TestGroupSparseBasis:
         np.testing.assert_array_equal(U1, U2)
         anchors = np.argmax(np.abs(U1), axis=0)
         assert np.all(U1[anchors, np.arange(8)] > 0)
+
+
+# Few distinct values, signed zeros and repeated columns and weights, so
+# examples often rebuild a second moment seen before, or one that differs
+# from it only in the sign of a zero.
+_MEMO_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1 / 3, -7.0])
+
+
+@st.composite
+def _repeating_ensembles(draw):
+    d = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(_MEMO_VALUES, min_size=d, max_size=d),
+                         min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=8))
+    raw = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=len(picks),
+                        max_size=len(picks)))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    P = np.array([base[i] for i in picks], dtype=dtype).T
+    w = np.array(raw, dtype=dtype)
+    return P, w / w.sum()
+
+
+class TestBasisMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(_repeating_ensembles())
+    def test_memo_returns_exactly_the_fresh_basis(self, case):
+        P, w = case
+        U, s = group_sparse_basis(PatchEnsemble(P=P, weights=w))
+        with mock.patch.object(filters, "_eigh_basis",
+                               filters._eigh_basis.__wrapped__):
+            fresh = group_sparse_basis(PatchEnsemble(P=P, weights=w))
+        for got, want in zip((U, s), fresh):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+        hits = filters._eigh_basis.cache_info().hits
+        again = group_sparse_basis(PatchEnsemble(P=P.copy(), weights=w.copy()))
+        assert filters._eigh_basis.cache_info().hits == hits + 1
+        for got, want in zip(again, (U, s)):
+            assert got.tobytes() == want.tobytes()
+
+        with pytest.raises(ValueError):
+            U[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            s[0] = 1.0
+
+    def test_threads_sharing_the_memo_get_the_fresh_basis(self, rng):
+        # 12 distinct matrices through 8 entries: hits, misses and evictions
+        # interleave across more threads than cores.
+        ensembles = [_ensemble(rng) for _ in range(12)]
+        with mock.patch.object(filters, "_eigh_basis",
+                               filters._eigh_basis.__wrapped__):
+            want = [group_sparse_basis(ens) for ens in ensembles]
+
+        def work(start):
+            return [(j % 12, group_sparse_basis(ensembles[j % 12]))
+                    for j in range(start, start + 200)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, start) for start in range(8)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for j, (U, s) in (item for part in results for item in part):
+            assert U.tobytes() == want[j][0].tobytes()
+            assert s.tobytes() == want[j][1].tobytes()
 
 
 class TestLocalPrior:

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from patchdenoise import add_gaussian_noise, build_database, pipeline, psnr
+from patchdenoise import (add_gaussian_noise, build_database, filters,
+                          pipeline, psnr)
 from patchdenoise import database as dbmod
 from patchdenoise.database import Database
 from patchdenoise.imaging import aggregate, extract_patch, plan_grid
@@ -239,6 +240,22 @@ class TestDenoiseImage:
             np.testing.assert_array_equal(one, first)
         assert len(db) > cfg.pool_size
         assert kept and max(kept) < len(db)
+
+    def test_basis_memo_changes_no_output_and_hits_on_flat_regions(
+            self, tiny_scene, monkeypatch):
+        # tiny_scene is flat 4x4 blocks, so its flat queries select the same
+        # rows with equal weights and build byte-identical second moments.
+        clean, db = tiny_scene
+        noisy = add_gaussian_noise(clean, 12.0, 15)
+        cfg = _tiny_cfg(sigma=12.0)
+        filters._eigh_basis.cache_clear()
+        memo = [denoise_image(noisy, db, cfg, threads=t)[0] for t in (1, 2)]
+        assert filters._eigh_basis.cache_info().hits > 0
+        monkeypatch.setattr(filters, "_eigh_basis",
+                            filters._eigh_basis.__wrapped__)
+        for threads, out in zip((1, 2), memo):
+            fresh, _ = denoise_image(noisy, db, cfg, threads=threads)
+            assert fresh.tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_database_rejected_before_any_patch(self, tiny_scene,
