@@ -20,7 +20,7 @@ import numpy as np
 
 from . import database as dbmod
 from . import oracles
-from .imaging import add_gaussian_noise, read_pgm, write_pgm
+from .imaging import add_gaussian_noise, check_grid, read_pgm, write_pgm
 from .pipeline import (RULES, SELECTIONS, DenoiseConfig, denoise_image,
                        run_sweep, sweep_to_csv)
 
@@ -32,6 +32,16 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(DenoiseConfig)}
 
 def _read_image(path: str) -> np.ndarray:
     return read_pgm(Path(path).read_bytes())
+
+
+def _check_db_grid(args) -> None:
+    """Reject --patch-size and --db-stride as build_database would, before
+    any file is read (also when --db names a cache, which ignores the stride)."""
+    try:
+        check_grid(args.patch_size, args.db_stride)
+    except ValueError as exc:
+        raise ValueError(f"--db-stride {args.db_stride} with --patch-size "
+                         f"{args.patch_size}: {exc}") from None
 
 
 def _load_db(path: str, patch_size: int, stride: int):
@@ -156,6 +166,7 @@ def _config(args, **cell) -> DenoiseConfig:
 
 def cmd_denoise(args) -> int:
     cfg = _config(args)
+    _check_db_grid(args)
     threads = _resolve_threads(args.threads)
     if args.db_quality and not args.clean:
         raise ValueError("--db-quality requires --clean")
@@ -189,6 +200,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--sigmas and --rules must be nonempty")
     # Every cell's settings are checked before any file is read.
     cells = [_config(args, sigma=s, rule=r) for s in sigmas for r in rules]
+    _check_db_grid(args)
     threads = _resolve_threads(args.threads)
     clean = _read_image(args.clean)
     db = _load_db(args.db, args.patch_size, args.db_stride)
@@ -224,6 +236,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_quality(args) -> int:
+    _check_db_grid(args)
     clean = _read_image(args.clean)
     db = _load_db(args.db, args.patch_size, args.db_stride)
     value = dbmod.database_quality(db, clean)

@@ -196,14 +196,113 @@ def refine_cross_similarity(
     Restricts to the pool_size nearest candidates, scores each by its query
     distance plus tau times the sum of its distances to every pool member,
     and keeps the k smallest scores. tau = 0 reduces to plain knn.
+
+    The selection, in order, is always the one the pdist pair matrix
+    gives. Usually it comes without that matrix: _certified_sums folds
+    identical pool rows into one, takes the column sums from one GEMM, and
+    proves with a rounding bound that they rank the pool as pdist's would.
+    When it cannot (near-tied scores, distinct rows equidistant from q,
+    huge or non-finite values), the pair matrix is computed with pdist.
     """
     pool, c = _candidate_pool(db, q, pool_size, k)
-    # pdist computes each pair once; (a-b)**2 == (b-a)**2 exactly, so B is
-    # bit-identical to cdist(rows, rows).
-    B = squareform(pdist(db.patches[pool]))
+    rows = db.patches[pool]
+    B = _certified_sums(rows, c, tau, k)
+    if B is None:
+        # pdist computes each pair once; (a-b)**2 == (b-a)**2 exactly, so for
+        # finite rows B is bit-identical to cdist(rows, rows).
+        B = squareform(pdist(rows))
     scores = cross_similarity_scores(c, B, tau)
     # Score ties break by lower database index, not by pool position.
     return pool[np.lexsort((pool, scores))[:k]]
+
+
+def _certified_sums(rows, c, tau: float, k: int):
+    """The pool's column sums from one GEMM as a (1, m) array, or None.
+
+    rows are the m pool rows and c their query distances, ascending, as
+    _candidate_pool returns them. A result B guarantees that the first k of
+    lexsort((pool, cross_similarity_scores(c, B, tau))) are exactly the
+    first k that squareform(pdist(rows)) gives, in order. None means that
+    could not be shown; it is returned when a value of rows or c, or tau,
+    is NaN or not below _GUARD, or tau < 0, so that nothing below overflows
+    or warns.
+
+    Fold. Identical rows have bitwise-equal c and identical pdist rows and
+    columns, so their exact scores are equal and both paths break their tie
+    by index. Each row in a run of equal c is checked value by value
+    against the row before it (None if a run holds distinct rows), and the
+    runs are folded into g distinct rows x_i with multiplicities w_i.
+
+    Score. G = x xᵀ (one GEMM), n = diag(G), D̂ = √max(n_i + n_j − 2G_ij, 0),
+    Σ̂ = w D̂ and ŝ = c + τΣ̂, which cross_similarity_scores recomputes
+    bit for bit from B = Σ̂ per row. The exact path's score is
+    s = c + τS, with S the sequential column sums of pdist's B.
+
+    Bound. Let u = 2**-53 and η = 2**-1022: one float64 operation, with
+    gradual underflow, flush-to-zero or denormals-are-zero, errs by at most
+    u·|exact| + η. Let a_i = ‖x_i‖ and D_ij = ‖x_i − x_j‖ (exact), N = max n,
+    and m, d <= 2**26 (a larger pool or patch does not fit in memory).
+      - The GEMM, in any summation order, with or without FMA, errs by at
+        most γ_d·a_i·a_j + 2dη(1 + γ_d), γ_d = du/(1 − du); n_i = G_ii, so
+        D̂_ii = 0 exactly. With the two additions and a_i² <= (n_i + 4dη)/(1
+        − γ_d), the argument of the clamp errs from D_ij² by at most
+        (2d + 6)·u·(n_i + n_j) + 20dη, and δ_j = (2d + 8)·u·(n_j + N) + 64dη
+        bounds that for every i, its own rounding and a flushed √ input.
+      - The clamp only moves it toward D² >= 0; if |A − D²| <= δ then
+        |√A − D| <= δ/max(√A, √δ), and √ rounds by u·√A. So D̂_ij errs by
+        at most u·D̂_ij(1 + 2u) + (1 + 2u)·δ_j/max(D̂_ij, √δ_j).
+      - pdist, in any order, with or without FMA, errs by at most
+        (d + 4)·u·D_ij + 2√(3dη) per pair, and summing m of them in any
+        order adds γ_m relative; Σ̂ (nonnegative terms, none subnormal)
+        adds γ_g. So |Σ̂_j − S_j| <= (2m + d + 8)·u·Σ̂_j + (1 + 2**-21)·P_j
+        + m√d·2**-508, with P_j = Σ_{i≠j} w_i·δ_j/max(D̂_ij, √δ_j).
+      - ŝ and s each round twice, so |ŝ − s| <= (1 + 3u)·τ|Σ̂ − S| +
+        5u·ŝ + 5η.
+    Hence E = τ·((2m + d + 16)·u·Σ̂ + (1 + 2**-20)·P + m√d·2**-500) +
+    8u·ŝ + 2**-1018 bounds |ŝ − s| with room for rounding E itself (P is a
+    GEMV, within γ_g), and ŝ ± E rounded. P_j <= (m − w_j)·√δ_j needs no
+    pass over the matrix, so P is computed only when that form fails.
+
+    Certify. Sort the groups by ŝ; the first k rows end in group t. If, for
+    every group p <= t, ŝ_p + E_p < ŝ_r − E_r for every later group r, then
+    s_p < s_r: the first k rows by (ŝ, index) are the first k by (s, index).
+    """
+    m, d = rows.shape
+    head = np.concatenate(([True], c[1:] != c[:-1]))
+    x = rows[head]
+    if not (c[-1] < _GUARD and 0 <= tau < _GUARD and np.abs(x).max() < _GUARD):
+        return None
+    twins = np.flatnonzero(~head)  # each must equal the row before it
+    if not (rows[twins] == rows[twins - 1]).all():
+        return None
+    group = np.cumsum(head) - 1
+    w = np.bincount(group).astype(np.float64)
+    dist = x @ x.T
+    norms = dist.diagonal().copy()
+    dist *= -2.0
+    dist += norms
+    dist += norms[:, None]
+    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+    sums = w @ dist
+    s = c[head] + tau * sums
+    delta = (2 * d + 8) * 2.0**-53 * (norms + norms.max()) + 64 * d * 2.0**-1022
+    root = np.sqrt(delta)
+    order = np.argsort(s, kind="stable")
+    # Groups order[:n] must each score below every later group.
+    n = min(np.searchsorted(np.cumsum(w[order]), k) + 1, len(s) - 1)
+
+    def certified(pairs) -> bool:
+        E = tau * ((2 * m + d + 16) * 2.0**-53 * sums + (1 + 2.0**-20) * pairs
+                   + m * np.sqrt(d) * 2.0**-500) + 8 * 2.0**-53 * s + 2.0**-1018
+        later = np.minimum.accumulate((s - E)[order[:0:-1]])[::-1]
+        return bool(np.all((s + E)[order[:n]] < later[:n]))
+
+    if not certified((m - w) * root):
+        np.maximum(dist, root, out=dist)
+        np.fill_diagonal(dist, np.inf)  # D̂_jj = 0 is exact: no term
+        if not certified(delta * (w @ np.divide(1.0, dist, out=dist))):
+            return None
+    return sums[group][None, :]
 
 
 def refine_first_pass(
@@ -230,7 +329,9 @@ def refine_first_pass(
 
 _CHUNK_ROWS = 1024  # rows hashed, compared or gathered per step: about 0.5 MB
 SCREEN_BLOCK = 16  # queries per screening GEMM: 16 x r float32 scores
-_GUARD = 2.0**60  # R + ‖q‖ below this keeps every screen value in float32 range
+# R + ‖q‖ below this keeps every screen value in float32 range; pool values,
+# query distances and tau below it keep every certified pool sum finite.
+_GUARD = 2.0**60
 _MAX_DIM = 2**10  # patches up to 32 x 32: screen's tol assumes d·2**-24 <= 2**-14
 
 

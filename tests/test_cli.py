@@ -2,13 +2,15 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from patchdenoise import pipeline
 from patchdenoise.cli import _config, _resolve_threads, build_parser, main
-from patchdenoise.database import build_database, database_quality
+from patchdenoise.database import (build_database, database_quality,
+                                   load_database, save_database_cache)
 from patchdenoise.imaging import add_gaussian_noise, read_pgm, write_pgm
 from patchdenoise.pipeline import DenoiseConfig
 
@@ -386,3 +388,34 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--wat"])
         assert err.value.code == 2
+
+
+class TestDatabaseGrid:
+    @pytest.mark.parametrize("command", ["denoise", "sweep", "quality"])
+    @pytest.mark.parametrize("stride, message", [
+        (0, "stride must be >= 1, got 0"),
+        (5, "stride 5 > patch_size 4 breaks coverage"),
+    ])
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_bad_db_stride_fails_before_any_file_is_read(
+            self, workspace, monkeypatch, capsys, command, stride, message, cache):
+        tmp, clean_path, noisy_path, db_dir = workspace
+        db = db_dir
+        if cache:  # a cache ignores the stride, but the flag is checked alike
+            db = tmp / "db.cache"
+            save_database_cache(load_database(db_dir, 4, 1), db)
+        args = {
+            "denoise": _denoise_args(noisy_path, db, tmp / "o.pgm", tmp / "r.json"),
+            "sweep": TestSweepCommand()._args(clean_path, db, tmp / "s.csv"),
+            "quality": ["quality", "--clean", str(clean_path), "--db", str(db),
+                        "--patch-size", "4", "--db-stride", "1"],
+        }[command]
+        args[args.index("--db-stride") + 1] = str(stride)
+        reads, read_bytes = [], Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda path: reads.append(path) or read_bytes(path))
+        assert main(args) == 2
+        assert reads == []
+        err = capsys.readouterr().err
+        assert f"--db-stride {stride}" in err and message in err
+        assert not (tmp / "o.pgm").exists() and not (tmp / "s.csv").exists()

@@ -351,7 +351,120 @@ def _cross_similarity_with_cdist(db, q, m, k, tau):
     return pool[np.lexsort((pool, scores))[:k]], scores
 
 
+# Small integers keep distances exact, so rows tie; 1 + 2**-52 is one ulp
+# from 1, for near-ties; signed zeros must fold as one row.
+_POOL_VALUES = st.sampled_from([0.0, -0.0, 1.0, 1 + 2.0**-52, -1.0, 2.0, 3.0,
+                                -7.0, 0.5, 1 / 3, 100.0])
+
+
+@st.composite
+def _pool_cases(draw):
+    """(db, q, m, k, tau): pools drawn from a few distinct rows, so many are twins.
+
+    Reversed copies of some rows are as far from a q with equal coordinates
+    as the rows, so distinct rows tie on c; a shared offset near 1e6 makes
+    the GEMM cancel the most; a scale of 2**-520 underflows its products,
+    and 2**57 puts some values past the guard (2**60) and some under it.
+    """
+    d = 4
+    vector = st.lists(_POOL_VALUES, min_size=d, max_size=d)
+    base = draw(st.lists(vector, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=20))
+    patches = np.array([base[i] for i in picks])
+    q = np.array(draw(vector))
+    mirrored = draw(st.integers(0, len(patches)))
+    if mirrored:
+        patches = np.vstack([patches, patches[:mirrored, ::-1]])
+        q[:] = q[0]
+    zeros = draw(st.integers(0, len(patches)))
+    patches[:zeros] *= 0.0  # keeps the sign of a zero
+    scale = draw(st.sampled_from([1.0, 2.0**-520, 2.0**57]))
+    offset = draw(st.sampled_from([0.0, 1e6 + 0.1, 2.0**24 + 1]))
+    patches, q = scale * patches, scale * q
+    if offset:  # adding 0.0 would turn -0.0 into 0.0
+        patches, q = patches + offset, q + offset
+    m = draw(st.integers(1, len(patches)))
+    k = draw(st.integers(1, m))
+    tau = draw(st.sampled_from([0.0, 1 / 400, 1.0]))
+    return Database(patches=patches, patch_size=2), q, m, k, tau
+
+
+def _pool_case(rows, q, m, k, tau):
+    db = Database(patches=np.array(rows, dtype=float), patch_size=2)
+    return db, np.array(q, dtype=float), m, k, tau
+
+
+_A, _B, _C = [0.0, 0, 0, 0], [10.0, 0, 0, 0], [0.0, 20, 0, 0]
+# Each case and the path it must take: "gemm" for the certified sums,
+# "pdist" for the pair matrix.
+_PATH_CASES = {
+    # Twins fold into three rows with well-separated scores.
+    "twins": (_pool_case([_A, _B, _A, _C, _A, _B, _A, _C, _A], [1, 1, 0, 0],
+                         9, 6, 1 / 400), "gemm"),
+    # One row, signed zeros included: every score ties, ranked by index.
+    "all_zero": (_pool_case([[0.0, -0.0, 0, 0], [-0.0, 0, 0, 0]] * 3,
+                            [1, 1, 1, 1], 6, 3, 1.0), "gemm"),
+    # Query distances one ulp apart: no bound can separate the scores.
+    "near_tie": (_pool_case([[1, 0, 0, 0], [0, 1 + 2.0**-52, 0, 0]],
+                            [0, 0, 0, 0], 2, 1, 1 / 400), "pdist"),
+    # Distinct rows at equal distance from q fail the twin check; folded
+    # as twins, row 1 would take row 0's larger sum and lose to row 2.
+    "equidistant": (_pool_case([[0, 1, 0, 0], [1, 0, 0, 0], [1.5, 0, 0, 0]],
+                               [0, 0, 0, 0], 3, 2, 1.0), "pdist"),
+    # A value at the guard.
+    "guard": (_pool_case(2.0**60 * np.eye(4)[:3], [0, 0, 0, 0], 3, 2, 1 / 400),
+              "pdist"),
+}
+
+
 class TestCrossSimilarityRefinement:
+    @settings(max_examples=400, deadline=None)
+    @given(_pool_cases())
+    @example(_PATH_CASES["near_tie"][0])
+    @example(_PATH_CASES["equidistant"][0])
+    @example(_PATH_CASES["guard"][0])
+    def test_matches_cdist_reference_on_every_pool(self, case):
+        db, q, m, k, tau = case
+        expected, _ = _cross_similarity_with_cdist(db, q, m, k, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            selected = refine_cross_similarity(db, q, m, k, tau)
+        np.testing.assert_array_equal(selected, expected)
+
+    @pytest.mark.parametrize("name", _PATH_CASES)
+    def test_each_case_takes_its_path_and_scores_once(self, monkeypatch, name):
+        (db, q, m, k, tau), path = _PATH_CASES[name]
+        expected, _ = _cross_similarity_with_cdist(db, q, m, k, tau)
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(database, "pdist", spy("pdist", database.pdist))
+        monkeypatch.setattr(database, "cross_similarity_scores",
+                            spy("scores", database.cross_similarity_scores))
+        np.testing.assert_array_equal(refine_cross_similarity(db, q, m, k, tau),
+                                      expected)
+        assert calls == (["pdist", "scores"] if path == "pdist" else ["scores"])
+
+    @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
+    def test_huge_or_non_finite_pools_take_pdist_without_warnings(self, rng, bad):
+        # cdist(x, x) is NaN for an infinite x; pdist leaves the diagonal 0.
+        db = _random_db(rng, n=30)
+        db.patches[4, 1] = bad
+        q = db.patches[7].copy()
+        pool, c = database._candidate_pool(db, q, 30, 5)
+        B = squareform(pdist(db.patches[pool]))
+        expected = pool[np.lexsort((pool, c + 0.5 * B.sum(axis=0)))[:5]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert database._certified_sums(db.patches[pool], c, 0.5, 5) is None
+            selected = refine_cross_similarity(db, q, 30, 5, 0.5)
+        np.testing.assert_array_equal(selected, expected)
+
     def test_pool_matrix_matches_cdist_bitwise(self, rng):
         X = 100.0 * rng.standard_normal((200, 64))
         np.testing.assert_array_equal(squareform(pdist(X)), cdist(X, X))

@@ -257,6 +257,29 @@ class TestDenoiseImage:
             fresh, _ = denoise_image(noisy, db, cfg, threads=threads)
             assert fresh.tobytes() == out.tobytes()
 
+    def test_certified_cross_similarity_changes_no_output(self, tiny_scene,
+                                                          monkeypatch):
+        # The blocky scene's pools hold many twins; most fold and certify,
+        # and the output must be the one the pdist pair matrix alone gives.
+        clean, db = tiny_scene
+        noisy = add_gaussian_noise(clean, 40.0, 15)
+        cfg = _tiny_cfg(sigma=40.0, selection="cross_similarity",
+                        rule="bm3d_pilot")
+        paths, certify = [], dbmod._certified_sums
+
+        def counting(*args):
+            sums = certify(*args)
+            paths.append(sums is None)
+            return sums
+
+        monkeypatch.setattr(dbmod, "_certified_sums", counting)
+        fast = [denoise_image(noisy, db, cfg, threads=t)[0] for t in (1, 2)]
+        assert paths.count(False) > paths.count(True)
+        monkeypatch.setattr(dbmod, "_certified_sums", lambda *args: None)
+        for threads, out in zip((1, 2), fast):
+            exact, _ = denoise_image(noisy, db, cfg, threads=threads)
+            assert exact.tobytes() == out.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_database_rejected_before_any_patch(self, tiny_scene,
                                                           monkeypatch, bad):
