@@ -6,6 +6,7 @@ Queries are read-only; a built database is never mutated.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,16 +70,18 @@ def build_database(images, patch_size: int, stride: int) -> Database:
     Patches are ordered by image, then row-major grid order within each
     image (the same order as plan_grid).
     """
-    images = list(images)
+    images = [as_image(img) for img in images]
     if not images:
         raise ValueError("need at least one image to build a database")
-    chunks = []
-    for img in images:
-        img = as_image(img)
-        h, w = img.shape
-        locs = plan_grid(w, h, patch_size, stride)
-        chunks.append(extract_patches(img, locs, patch_size))
-    return Database(patches=np.vstack(chunks), patch_size=patch_size)
+    grids = [plan_grid(img.shape[1], img.shape[0], patch_size, stride)
+             for img in images]
+    # Filled in place, one image at a time, so the rows are held once.
+    patches = np.empty((sum(map(len, grids)), patch_size**2))
+    start = 0
+    for img, locs in zip(images, grids):
+        patches[start : start + len(locs)] = extract_patches(img, locs, patch_size)
+        start += len(locs)
+    return Database(patches=patches, patch_size=patch_size)
 
 
 def load_database(directory, patch_size: int, stride: int) -> Database:
@@ -92,31 +95,40 @@ def load_database(directory, patch_size: int, stride: int) -> Database:
 
 
 def save_database_cache(db: Database, path) -> None:
-    """Write the flat binary cache: magic, patch_size, n_total, raw floats."""
-    header = _CACHE_MAGIC + struct.pack("<IQ", db.patch_size, len(db))
-    payload = np.ascontiguousarray(db.patches, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + payload)
+    """Write the flat binary cache: magic, patch_size, n_total, raw floats.
+
+    The header and the patch buffer are written one after the other, so the
+    payload is never copied into a bytes object.
+    """
+    patches = np.ascontiguousarray(db.patches, dtype="<f8")
+    with open(path, "wb") as out:
+        out.write(_CACHE_MAGIC + struct.pack("<IQ", db.patch_size, len(db)))
+        out.write(patches.data)
 
 
 def load_database_cache(path) -> Database:
     """Load a cache written by save_database_cache.
 
-    Rejects a cache that is malformed or holds non-finite patch values.
+    Rejects a cache that is malformed or holds non-finite patch values. The
+    payload length is checked against the file size first, then the
+    payload is read straight into the one array the database keeps.
     """
-    data = Path(path).read_bytes()
-    if not data.startswith(_CACHE_MAGIC):
-        raise ValueError(f"{path}: not a patch database cache")
-    offset = len(_CACHE_MAGIC)
-    patch_size, n_total = struct.unpack_from("<IQ", data, offset)
-    offset += struct.calcsize("<IQ")
-    d = patch_size * patch_size
-    expected = n_total * d * 8
-    payload = data[offset:]
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload length {len(payload)} != expected {expected}"
-        )
-    patches = np.frombuffer(payload, dtype="<f8").reshape(n_total, d).copy()
+    header_size = len(_CACHE_MAGIC) + struct.calcsize("<IQ")
+    with open(path, "rb") as src:
+        header = src.read(header_size)
+        if not header.startswith(_CACHE_MAGIC):
+            raise ValueError(f"{path}: not a patch database cache")
+        if len(header) != header_size:
+            raise ValueError(f"{path}: truncated cache header")
+        patch_size, n_total = struct.unpack_from("<IQ", header, len(_CACHE_MAGIC))
+        d = patch_size * patch_size
+        expected = n_total * d * 8
+        size = os.fstat(src.fileno()).st_size - header_size
+        if size != expected:
+            raise ValueError(f"{path}: payload length {size} != expected {expected}")
+        patches = np.empty((n_total, d), dtype="<f8")
+        if src.readinto(patches) != expected:
+            raise ValueError(f"{path}: cache changed while it was read")
     if not np.all(np.isfinite(patches)):
         raise ValueError(f"{path}: cache holds non-finite patch values")
     return Database(patches=patches, patch_size=patch_size)
@@ -178,6 +190,11 @@ def first_pass_scores(c: np.ndarray, e: np.ndarray, tau: float) -> np.ndarray:
     return np.asarray(c, dtype=np.float64) + tau * np.asarray(e, dtype=np.float64)
 
 
+def _check_tau(tau: float) -> None:
+    if not 0 <= tau < np.inf:  # NaN fails too
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
+
+
 def _candidate_pool(db: Database, q, pool_size: int, k: int):
     if k > pool_size:
         raise ValueError(f"k ({k}) must not exceed pool_size ({pool_size})")
@@ -195,7 +212,8 @@ def refine_cross_similarity(
 
     Restricts to the pool_size nearest candidates, scores each by its query
     distance plus tau times the sum of its distances to every pool member,
-    and keeps the k smallest scores. tau = 0 reduces to plain knn.
+    and keeps the k smallest scores. tau = 0 reduces to plain knn; a tau
+    that is NaN, negative or infinite raises ValueError.
 
     The selection, in order, is always the one the pdist pair matrix
     gives. Usually it comes without that matrix: _certified_sums folds
@@ -204,6 +222,7 @@ def refine_cross_similarity(
     When it cannot (near-tied scores, distinct rows equidistant from q,
     huge or non-finite values), the pair matrix is computed with pdist.
     """
+    _check_tau(tau)
     pool, c = _candidate_pool(db, q, pool_size, k)
     rows = db.patches[pool]
     B = _certified_sums(rows, c, tau, k)
@@ -312,8 +331,10 @@ def refine_first_pass(
 
     Scores each pool candidate by ||q - p_j|| + tau * ||pbar - p_j|| and
     keeps the k smallest. tau = 0 reduces to plain knn; large tau ranks by
-    pilot distance alone.
+    pilot distance alone. A tau that is NaN, negative or infinite raises
+    ValueError.
     """
+    _check_tau(tau)
     pool, c = _candidate_pool(db, q, pool_size, k)
     pbar = np.asarray(pbar, dtype=np.float64)
     if pbar.shape != (db.patches.shape[1],):
@@ -333,6 +354,10 @@ SCREEN_BLOCK = 16  # queries per screening GEMM: 16 x r float32 scores
 # query distances and tau below it keep every certified pool sum finite.
 _GUARD = 2.0**60
 _MAX_DIM = 2**10  # patches up to 32 x 32: screen's tol assumes d·2**-24 <= 2**-14
+# From r = 160·m table rows up, screen's two-step selection of the m-th
+# smallest score beats one full partition of the block's scores; below, its
+# per-query calls cost more than they save (measured on 64-value patches).
+_TWO_STEP_ROWS = 160
 
 
 def _row_keys(patches: np.ndarray) -> np.ndarray:
@@ -437,7 +462,11 @@ def screen(index: ScreenIndex, queries) -> list:
     computed h within tol of the query's m-th smallest computed h is kept,
     so the kept rows contain the first m of
     np.argsort(cdist(q, db.patches), kind="stable"); ranking them in index
-    order reproduces that order exactly. None means the whole database: for
+    order reproduces that order exactly. When r >= _TWO_STEP_ROWS·m, the
+    m-th smallest is found exactly in two steps: the m-th smallest of every
+    8th column bounds it, and only the values at or under that bound are
+    partitioned; the whole row is compared again only when the threshold
+    exceeds the bound. None means the whole database: for
     every query when the index has no table, and for a query with
     R + ‖q‖ >= _GUARD, which is never cast to float32.
 
@@ -475,12 +504,22 @@ def screen(index: ScreenIndex, queries) -> list:
     near = np.flatnonzero(reach < _GUARD)  # NaN and inf fail too
     h = queries[near].astype(np.float32) @ index.table
     np.subtract(index.norms, h, out=h)
-    kth = np.partition(h, m - 1, axis=1)[:, m - 1]
     tol = (d + 12) * 2.0**-25 * reach[near] ** 2 + d * 2.0**-121
-    limit = (kth + tol).astype(np.float32)
     out = [None] * len(queries)
-    for i, row, cut in zip(near, h, limit):
-        out[i] = index.rows[np.flatnonzero(row <= cut)]
+    if h.shape[1] < _TWO_STEP_ROWS * m:
+        kth = np.partition(h, m - 1, axis=1)[:, m - 1]
+        for i, row, cut in zip(near, h, (kth + tol).astype(np.float32)):
+            out[i] = index.rows[np.flatnonzero(row <= cut)]
+        return out
+    # The m-th smallest of every 8th column is at least the row's m-th
+    # smallest, so only the values at or under it need a partition.
+    bound = np.partition(h[:, ::8], m - 1, axis=1)[:, m - 1]
+    for i, row, top, t in zip(near, h, bound, tol):
+        low = np.flatnonzero(row <= top)
+        values = row[low]
+        cut = np.float32(np.partition(values, m - 1)[m - 1] + t)
+        hits = low[values <= cut] if cut <= top else np.flatnonzero(row <= cut)
+        out[i] = index.rows[hits]
     return out
 
 

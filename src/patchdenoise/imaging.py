@@ -174,10 +174,9 @@ def plan_grid(width: int, height: int, patch_size: int, stride: int) -> np.ndarr
         raise ValueError(
             f"patch_size {patch_size} exceeds image dimensions {width}x{height}"
         )
-    rows = _offsets(height, patch_size, stride)
-    cols = _offsets(width, patch_size, stride)
-    locs = [(r, c) for r in rows for c in cols]
-    return np.array(locs, dtype=np.int64)
+    rows, cols = np.meshgrid(_offsets(height, patch_size, stride),
+                             _offsets(width, patch_size, stride), indexing="ij")
+    return np.stack([rows.ravel(), cols.ravel()], axis=1).astype(np.int64)
 
 
 def extract_patch(img, loc, patch_size: int) -> np.ndarray:

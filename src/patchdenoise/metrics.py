@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .imaging import as_image
 
@@ -43,6 +42,11 @@ def _gaussian_window() -> np.ndarray:
 
 
 def _local_mean(img: np.ndarray, window: np.ndarray) -> np.ndarray:
+    # Imported here, not at the top: scipy.signal costs about 38 MB and
+    # 0.8 s, and only SSIM needs it. Importing patchdenoise, or denoising
+    # without a clean image, never loads it.
+    from scipy.signal import convolve2d
+
     # Symmetric window, so convolution equals correlation.
     return convolve2d(img, window, mode="valid")
 

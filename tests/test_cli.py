@@ -95,6 +95,17 @@ class TestDenoiseCommand:
         assert code == 2
         assert "tau must be >= 0" in capsys.readouterr().err
 
+    def test_infinite_tau_reported_before_files_are_read(self, workspace, capsys,
+                                                         monkeypatch):
+        tmp, _, noisy_path, db_dir = workspace
+        read = []
+        monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path))
+        code = main(_denoise_args(noisy_path, db_dir, tmp / "o.pgm",
+                                  tmp / "r.json", tau="inf"))
+        assert code == 2
+        assert "tau must be >= 0 and finite, got inf" in capsys.readouterr().err
+        assert read == []
+
     @pytest.mark.parametrize("flag, value, message", [
         ("stride1", 9, "stride 9 > patch_size 4 breaks coverage"),
         ("patch-size", 0, "patch_size must be >= 1"),

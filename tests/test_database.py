@@ -33,7 +33,7 @@ from patchdenoise.database import (
     screen,
     screen_index,
 )
-from patchdenoise.imaging import plan_grid, write_pgm
+from patchdenoise.imaging import extract_patches, plan_grid, write_pgm
 from patchdenoise.pipeline import DenoiseConfig
 
 
@@ -81,6 +81,28 @@ class TestBuildDatabase:
         np.testing.assert_array_equal(db.patches, np.array(expected))
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fills_the_rows_np_vstack_gives(self, data):
+        patch = data.draw(st.integers(1, 6), label="patch")
+        stride = data.draw(st.integers(1, patch), label="stride")
+        shapes = data.draw(st.lists(st.tuples(st.integers(patch, patch + 12),
+                                              st.integers(patch, patch + 12)),
+                                    min_size=1, max_size=4), label="shapes")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        images = [np.round(rng.standard_normal(shape), 1) * 100 for shape in shapes]
+        images[0][0, 0] = -0.0  # bytes, not only values, must be kept
+        images[-1] = images[-1].astype(np.float32)  # converted like the rest
+        expected = np.vstack([
+            extract_patches(img, plan_grid(img.shape[1], img.shape[0], patch,
+                                           stride), patch)
+            for img in images])
+        db = build_database((img for img in images), patch, stride)
+        assert db.patches.dtype == np.float64 and db.patches.flags.c_contiguous
+        assert db.patches.shape == expected.shape
+        assert db.patches.tobytes() == expected.tobytes()
+
+
 class TestCacheRoundTrip:
     def test_round_trip(self, tmp_path, rng):
         db = _random_db(rng)
@@ -110,6 +132,33 @@ class TestCacheRoundTrip:
         magic = path.read_bytes().split(b"\n", 1)[0] + b"\n"
         path.write_bytes(magic + struct.pack("<IQ", 0, 3))  # 3 rows of 0 values
         with pytest.raises(ValueError, match="patch_size must be >= 1"):
+            load_database_cache(path)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_written_bytes_are_the_cache_format(self, tmp_path, rng, layout):
+        rows = rng.standard_normal((40, 16))
+        rows[0, 0] = -0.0
+        patches = {"C": rows, "F": np.asfortranarray(rows), "strided": rows[::2]}
+        db = Database(patches=patches[layout], patch_size=4)
+        path = tmp_path / "patches.cache"
+        save_database_cache(db, path)
+        header = b"TDBC\x01\n" + struct.pack("<IQ", 4, len(db))
+        payload = np.ascontiguousarray(db.patches, dtype="<f8").tobytes()
+        assert path.read_bytes() == header + payload
+        assert load_database_cache(path).patches.tobytes() == payload
+
+    def test_truncated_header_rejected(self, tmp_path, rng):
+        path = tmp_path / "patches.cache"
+        save_database_cache(_random_db(rng), path)
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match="truncated cache header"):
+            load_database_cache(path)
+
+    def test_header_length_checked_before_any_allocation(self, tmp_path):
+        # 2**40 rows of 64 values would be 512 TiB; the file holds 8 bytes.
+        path = tmp_path / "patches.cache"
+        path.write_bytes(b"TDBC\x01\n" + struct.pack("<IQ", 8, 2**40) + bytes(8))
+        with pytest.raises(ValueError, match="payload length 8 != expected"):
             load_database_cache(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -342,6 +391,81 @@ class TestScreen:
             half_norms(db, 10)
 
 
+def _full_partition_screen(index, queries):
+    """screen's candidates from one full np.partition of every score row.
+
+    Returns them with each row's threshold and its two-step bound, the
+    m-th smallest of every 8th score (None where screen partitions fully).
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    d, m = len(index.table), index.m
+    reach = index.radius + np.sqrt(np.einsum("ij,ij->i", queries, queries))
+    assert np.all(reach < _GUARD)
+    h = index.norms - queries.astype(np.float32) @ index.table
+    kth = np.partition(h, m - 1, axis=1)[:, m - 1]
+    tol = (d + 12) * 2.0**-25 * reach**2 + d * 2.0**-121
+    limit = (kth + tol).astype(np.float32)
+    bound = None
+    if h.shape[1] >= database._TWO_STEP_ROWS * m:
+        bound = np.partition(h[:, ::8], m - 1, axis=1)[:, m - 1]
+    kept = [index.rows[np.flatnonzero(row <= cut)] for row, cut in zip(h, limit)]
+    return kept, limit, bound
+
+
+@st.composite
+def _selection_cases(draw):
+    """(db, queries, m): tables of about _TWO_STEP_ROWS·m rows of small
+    integers, a few repeated, so many scores tie at the m-th smallest."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(database._TWO_STEP_ROWS * m - 3,
+                         database._TWO_STEP_ROWS * m + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patches = rng.integers(-6, 7, (n, 4)).astype(float)
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    queries = rng.integers(-6, 7, (draw(st.integers(1, 4)), 4)).astype(float)
+    offset = draw(st.sampled_from([0.0, 1 / 3, 1e6 + 0.1]))
+    patches = np.vstack([patches, patches[repeats]]) + offset
+    return Database(patches=patches, patch_size=2), queries + offset, m
+
+
+class TestScreenSelection:
+    """screen finds each query's m-th smallest score in two steps when the
+    table has at least _TWO_STEP_ROWS·m rows; the candidates equal the full
+    partition's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_selection_cases())
+    def test_equals_the_full_partition(self, case):
+        db, queries, m = case
+        index = screen_index(db, m)
+        if index.table is None:  # no more rows than m
+            assert len(db) <= m
+            return
+        expected, _, _ = _full_partition_screen(index, queries)
+        for got, want in zip(screen(index, queries), expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 3, 25])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])  # just under, at, over the cut
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_tables_around_the_two_step_cut(self, rng, m, extra, offset):
+        n = database._TWO_STEP_ROWS * m + extra
+        patches = offset + np.round(10.0 * rng.standard_normal((n, 16)), 1)
+        index = screen_index(Database(patches=patches, patch_size=4), m)
+        assert len(index.rows) == n  # no duplicate rows to cut
+        queries = np.vstack([offset + 10.0 * rng.standard_normal((5, 16)),
+                             patches[:3], patches[:1] + 0.05])
+        expected, limit, bound = _full_partition_screen(index, queries)
+        for got, want in zip(screen(index, queries), expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (bound is None) == (extra < 0)
+        if bound is not None:
+            # Near 1e6 tol puts every threshold above the bound, so whole
+            # rows are compared; near 0 most thresholds stay within it.
+            above = limit > bound
+            assert above.all() if offset else above.mean() < 0.5
+
+
 def _cross_similarity_with_cdist(db, q, m, k, tau):
     # The pool-pair matrix from cdist, which computes every pair twice.
     dists = cdist(q[None, :], db.patches)[0]
@@ -531,6 +655,18 @@ class TestCrossSimilarityRefinement:
         q = np.zeros(db.patches.shape[1])
         with pytest.raises(ValueError):
             refine_cross_similarity(db, q, 31, 5, 0.1)
+
+
+@pytest.mark.parametrize("tau", [np.nan, -1.0, np.inf])
+def test_refinements_reject_a_bad_tau(rng, tau):
+    # An infinite tau scores every candidate inf (or NaN) and would return
+    # the pool's lowest database indices instead of its nearest rows.
+    db = _random_db(rng, n=30)
+    q = db.patches[3]
+    with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+        refine_first_pass(db, q, q, 20, 5, tau)
+    with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+        refine_cross_similarity(db, q, 20, 5, tau)
 
 
 class TestFirstPassRefinement:

@@ -4,10 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchdenoise.imaging import (
     CoverageError,
     PgmFormatError,
+    _offsets,
     add_gaussian_noise,
     aggregate,
     extract_patch,
@@ -133,6 +136,20 @@ class TestPlanGrid:
             covered[r : r + patch, c : c + patch] = True
         assert covered.all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda patch: st.tuples(
+        st.integers(patch, 60), st.integers(patch, 60), st.just(patch),
+        st.integers(1, patch))))
+    def test_matches_the_list_of_tuples(self, grid):
+        width, height, patch, stride = grid
+        rows = _offsets(height, patch, stride)
+        cols = _offsets(width, patch, stride)
+        expected = np.array([(r, c) for r in rows for c in cols], dtype=np.int64)
+        locs = plan_grid(width, height, patch, stride)
+        assert locs.dtype == np.int64 and locs.flags.c_contiguous
+        assert locs.shape == expected.shape
+        assert locs.tobytes() == expected.tobytes()
+
     def test_patch_too_large_rejected(self):
         with pytest.raises(ValueError):
             plan_grid(6, 10, 8, 4)
@@ -209,3 +226,10 @@ class TestAggregate:
         locs = plan_grid(26, 20, 8, 6)
         estimates = [(extract_patch(img, loc, 8), loc) for loc in locs]
         np.testing.assert_allclose(aggregate(estimates, 26, 20), img, atol=1e-12)
+
+    def test_one_shot_generator_sums_like_a_list(self, rng):
+        img = rng.random((20, 26)) * 255
+        locs = plan_grid(26, 20, 8, 3)
+        pairs = [(extract_patch(img, loc, 8) + rng.random(64), loc) for loc in locs]
+        once = aggregate((pair for pair in pairs), 26, 20)
+        assert once.tobytes() == aggregate(pairs, 26, 20).tobytes()

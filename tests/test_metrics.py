@@ -1,8 +1,15 @@
 """PSNR and SSIM behavior, checked against direct formula evaluation."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import patchdenoise
 from patchdenoise.metrics import psnr, ssim
 
 
@@ -91,3 +98,40 @@ class TestSsim:
         ref = rng.random((20, 20)) * 255
         noisy = ref + rng.normal(0, 30, size=ref.shape)
         assert -1.0 <= ssim(ref, noisy) <= 1.0
+
+    def test_scipy_signal_loads_only_for_ssim(self, tmp_path):
+        # A fresh interpreter: this one has loaded scipy.signal already.
+        script = """
+import json
+import sys
+import numpy as np
+import patchdenoise as pd
+import patchdenoise.cli
+loaded = ["scipy.signal" in sys.modules]
+rng = np.random.default_rng(3)
+clean = np.kron(rng.integers(0, 2, (6, 6)) * 200.0 + 25.0, np.ones((4, 4)))
+noisy = clean + 10.0 * rng.standard_normal(clean.shape)
+cfg = pd.DenoiseConfig(sigma=10.0, patch_size=4, stride_pass1=3,
+                       stride_pass2=2, k=8, pool_size=20)
+out, report = pd.denoise_image(noisy, pd.build_database([clean], 4, 2), cfg)
+loaded.append("scipy.signal" in sys.modules)
+value = pd.ssim(clean, out)
+loaded.append("scipy.signal" in sys.modules)
+np.save(sys.argv[1], np.stack([clean, out]))
+print(json.dumps({"loaded": loaded, "ssim": value,
+                  "report_ssim": report.ssim_denoised}))
+"""
+        src = str(Path(patchdenoise.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        arrays = tmp_path / "images.npy"
+        run = subprocess.run([sys.executable, "-c", script, str(arrays)],
+                             env=env, capture_output=True, text=True, check=True)
+        result = json.loads(run.stdout)
+        # Not after the import, not after denoising without a clean image.
+        assert result["loaded"] == [False, False, True]
+        assert result["report_ssim"] is None
+        clean, out = np.load(arrays)
+        assert result["ssim"] == pytest.approx(_reference_ssim(clean, out),
+                                               abs=1e-10)

@@ -121,6 +121,11 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="bandwidth"):
                 DenoiseConfig(sigma=10.0, bandwidth=bandwidth)
 
+    @pytest.mark.parametrize("tau", [float("inf"), -float("inf")])
+    def test_rejects_infinite_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+            DenoiseConfig(sigma=10.0, tau=tau)
+
     def test_first_pass_is_not_a_selection(self):
         # 'auto' already refines around the pass-1 pilot in pass 2.
         with pytest.raises(ValueError, match="unknown selection 'first_pass'"):
@@ -240,6 +245,36 @@ class TestDenoiseImage:
             np.testing.assert_array_equal(one, first)
         assert len(db) > cfg.pool_size
         assert kept and max(kept) < len(db)
+
+    def test_estimates_stream_into_aggregate(self, tiny_scene, monkeypatch):
+        clean, db = tiny_scene
+        noisy = add_gaussian_noise(clean, 12.0, 16)
+        cfg = _tiny_cfg(sigma=12.0)
+        streamed = [denoise_image(noisy, db, cfg, threads=t)[0] for t in (1, 2)]
+        made, lags = [0], []
+
+        def counted(*args, **kwargs):
+            made[0] += 1
+            return denoise_patch(*args, **kwargs)
+
+        def collect_first(estimates, width, height):
+            assert iter(estimates) is estimates  # one-shot, not a list
+            made[0] = 0
+            pairs = []
+            for pair in estimates:
+                pairs.append(pair)
+                lags.append(made[0] - len(pairs))
+            return aggregate(pairs, width, height)
+
+        monkeypatch.setattr(pipeline, "denoise_patch", counted)
+        monkeypatch.setattr(pipeline, "aggregate", collect_first)
+        for threads, out in zip((1, 2), streamed):
+            lags.clear()
+            collected, _ = denoise_image(noisy, db, cfg, threads=threads)
+            assert collected.tobytes() == out.tobytes()
+            if threads == 1:
+                # Each estimate reaches aggregate before the next block starts.
+                assert 0 <= min(lags) and max(lags) < dbmod.SCREEN_BLOCK
 
     def test_basis_memo_changes_no_output_and_hits_on_flat_regions(
             self, tiny_scene, monkeypatch):
