@@ -354,10 +354,6 @@ SCREEN_BLOCK = 16  # queries per screening GEMM: 16 x r float32 scores
 # query distances and tau below it keep every certified pool sum finite.
 _GUARD = 2.0**60
 _MAX_DIM = 2**10  # patches up to 32 x 32: screen's tol assumes d·2**-24 <= 2**-14
-# From r = 160·m table rows up, screen's two-step selection of the m-th
-# smallest score beats one full partition of the block's scores; below, its
-# per-query calls cost more than they save (measured on 64-value patches).
-_TWO_STEP_ROWS = 160
 
 
 def _row_keys(patches: np.ndarray) -> np.ndarray:
@@ -462,11 +458,7 @@ def screen(index: ScreenIndex, queries) -> list:
     computed h within tol of the query's m-th smallest computed h is kept,
     so the kept rows contain the first m of
     np.argsort(cdist(q, db.patches), kind="stable"); ranking them in index
-    order reproduces that order exactly. When r >= _TWO_STEP_ROWS·m, the
-    m-th smallest is found exactly in two steps: the m-th smallest of every
-    8th column bounds it, and only the values at or under that bound are
-    partitioned; the whole row is compared again only when the threshold
-    exceeds the bound. None means the whole database: for
+    order reproduces that order exactly. None means the whole database: for
     every query when the index has no table, and for a query with
     R + ‖q‖ >= _GUARD, which is never cast to float32.
 
@@ -504,22 +496,12 @@ def screen(index: ScreenIndex, queries) -> list:
     near = np.flatnonzero(reach < _GUARD)  # NaN and inf fail too
     h = queries[near].astype(np.float32) @ index.table
     np.subtract(index.norms, h, out=h)
+    kth = np.partition(h, m - 1, axis=1)[:, m - 1]
     tol = (d + 12) * 2.0**-25 * reach[near] ** 2 + d * 2.0**-121
+    limit = (kth + tol).astype(np.float32)
     out = [None] * len(queries)
-    if h.shape[1] < _TWO_STEP_ROWS * m:
-        kth = np.partition(h, m - 1, axis=1)[:, m - 1]
-        for i, row, cut in zip(near, h, (kth + tol).astype(np.float32)):
-            out[i] = index.rows[np.flatnonzero(row <= cut)]
-        return out
-    # The m-th smallest of every 8th column is at least the row's m-th
-    # smallest, so only the values at or under it need a partition.
-    bound = np.partition(h[:, ::8], m - 1, axis=1)[:, m - 1]
-    for i, row, top, t in zip(near, h, bound, tol):
-        low = np.flatnonzero(row <= top)
-        values = row[low]
-        cut = np.float32(np.partition(values, m - 1)[m - 1] + t)
-        hits = low[values <= cut] if cut <= top else np.flatnonzero(row <= cut)
-        out[i] = index.rows[hits]
+    for i, row, cut in zip(near, h, limit):
+        out[i] = index.rows[np.flatnonzero(row <= cut)]
     return out
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
-import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -81,8 +80,8 @@ class DenoiseConfig:
             raise ValueError(f"passes must be 1 or 2, got {self.passes}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.tau is not None and not 0 <= self.tau < np.inf:  # NaN fails too
-            raise ValueError(f"tau must be >= 0 and finite, got {self.tau}")
+        if self.tau is not None:
+            dbmod._check_tau(self.tau)
         if self.bandwidth is not None and not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
 
@@ -207,9 +206,7 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
     Each block of queries is screened first (index, from
     database.screen_index) and each patch searches only its candidate rows;
     they hold its exact m = min(pool_size, len(db)) nearest in index order,
-    so the estimate is the one the whole database gives. The estimates
-    stream into aggregate in grid order, so the sums are the same at any
-    thread count.
+    so the estimate is the one the whole database gives.
     """
     h, w = noisy.shape
     p = cfg.patch_size
@@ -229,18 +226,16 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
         return estimates
 
     def chunk(ix):
-        for start in range(0, len(ix), dbmod.SCREEN_BLOCK):
-            yield from block(ix[start : start + dbmod.SCREEN_BLOCK])
+        return [est for start in range(0, len(ix), dbmod.SCREEN_BLOCK)
+                for est in block(ix[start : start + dbmod.SCREEN_BLOCK])]
 
-    # aggregate consumes the estimates as they are made, in grid order, so
-    # the pass holds about one block of them (one chunk per worker thread).
-    everything = np.arange(len(locs))
     if threads <= 1:
-        return aggregate(zip(chunk(everything), locs), w, h)
-    chunks = np.array_split(everything, threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda ix: list(chunk(ix)), chunks)
-        return aggregate(zip(itertools.chain.from_iterable(parts), locs), w, h)
+        estimates = chunk(np.arange(len(locs)))
+    else:
+        chunks = np.array_split(np.arange(len(locs)), threads * 4)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            estimates = [est for part in pool.map(chunk, chunks) for est in part]
+    return aggregate(zip(estimates, locs), w, h)
 
 
 def denoise_image(

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from patchdenoise import database as dbmod
 from patchdenoise import pipeline
 from patchdenoise.cli import _config, _resolve_threads, build_parser, main
 from patchdenoise.database import (build_database, database_quality,
@@ -100,6 +101,7 @@ class TestDenoiseCommand:
         tmp, _, noisy_path, db_dir = workspace
         read = []
         monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path))
+        monkeypatch.setattr(dbmod, "load_database_cache", read.append)
         code = main(_denoise_args(noisy_path, db_dir, tmp / "o.pgm",
                                   tmp / "r.json", tau="inf"))
         assert code == 2
@@ -425,6 +427,9 @@ class TestDatabaseGrid:
         reads, read_bytes = [], Path.read_bytes
         monkeypatch.setattr(Path, "read_bytes",
                             lambda path: reads.append(path) or read_bytes(path))
+        load_cache = dbmod.load_database_cache
+        monkeypatch.setattr(dbmod, "load_database_cache",
+                            lambda path: reads.append(path) or load_cache(path))
         assert main(args) == 2
         assert reads == []
         err = capsys.readouterr().err

@@ -80,7 +80,6 @@ class TestBuildDatabase:
                     for r, c in plan_grid(img.shape[1], img.shape[0], 8, 6)]
         np.testing.assert_array_equal(db.patches, np.array(expected))
 
-
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_fills_the_rows_np_vstack_gives(self, data):
@@ -389,81 +388,6 @@ class TestScreen:
         db.patches[7, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             half_norms(db, 10)
-
-
-def _full_partition_screen(index, queries):
-    """screen's candidates from one full np.partition of every score row.
-
-    Returns them with each row's threshold and its two-step bound, the
-    m-th smallest of every 8th score (None where screen partitions fully).
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    d, m = len(index.table), index.m
-    reach = index.radius + np.sqrt(np.einsum("ij,ij->i", queries, queries))
-    assert np.all(reach < _GUARD)
-    h = index.norms - queries.astype(np.float32) @ index.table
-    kth = np.partition(h, m - 1, axis=1)[:, m - 1]
-    tol = (d + 12) * 2.0**-25 * reach**2 + d * 2.0**-121
-    limit = (kth + tol).astype(np.float32)
-    bound = None
-    if h.shape[1] >= database._TWO_STEP_ROWS * m:
-        bound = np.partition(h[:, ::8], m - 1, axis=1)[:, m - 1]
-    kept = [index.rows[np.flatnonzero(row <= cut)] for row, cut in zip(h, limit)]
-    return kept, limit, bound
-
-
-@st.composite
-def _selection_cases(draw):
-    """(db, queries, m): tables of about _TWO_STEP_ROWS·m rows of small
-    integers, a few repeated, so many scores tie at the m-th smallest."""
-    m = draw(st.integers(1, 3))
-    n = draw(st.integers(database._TWO_STEP_ROWS * m - 3,
-                         database._TWO_STEP_ROWS * m + 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    patches = rng.integers(-6, 7, (n, 4)).astype(float)
-    repeats = draw(st.lists(st.integers(0, n - 1), max_size=3))
-    queries = rng.integers(-6, 7, (draw(st.integers(1, 4)), 4)).astype(float)
-    offset = draw(st.sampled_from([0.0, 1 / 3, 1e6 + 0.1]))
-    patches = np.vstack([patches, patches[repeats]]) + offset
-    return Database(patches=patches, patch_size=2), queries + offset, m
-
-
-class TestScreenSelection:
-    """screen finds each query's m-th smallest score in two steps when the
-    table has at least _TWO_STEP_ROWS·m rows; the candidates equal the full
-    partition's."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(_selection_cases())
-    def test_equals_the_full_partition(self, case):
-        db, queries, m = case
-        index = screen_index(db, m)
-        if index.table is None:  # no more rows than m
-            assert len(db) <= m
-            return
-        expected, _, _ = _full_partition_screen(index, queries)
-        for got, want in zip(screen(index, queries), expected):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("m", [1, 3, 25])
-    @pytest.mark.parametrize("extra", [-1, 0, 1])  # just under, at, over the cut
-    @pytest.mark.parametrize("offset", [0.0, 1e6])
-    def test_tables_around_the_two_step_cut(self, rng, m, extra, offset):
-        n = database._TWO_STEP_ROWS * m + extra
-        patches = offset + np.round(10.0 * rng.standard_normal((n, 16)), 1)
-        index = screen_index(Database(patches=patches, patch_size=4), m)
-        assert len(index.rows) == n  # no duplicate rows to cut
-        queries = np.vstack([offset + 10.0 * rng.standard_normal((5, 16)),
-                             patches[:3], patches[:1] + 0.05])
-        expected, limit, bound = _full_partition_screen(index, queries)
-        for got, want in zip(screen(index, queries), expected):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert (bound is None) == (extra < 0)
-        if bound is not None:
-            # Near 1e6 tol puts every threshold above the bound, so whole
-            # rows are compared; near 0 most thresholds stay within it.
-            above = limit > bound
-            assert above.all() if offset else above.mean() < 0.5
 
 
 def _cross_similarity_with_cdist(db, q, m, k, tau):

@@ -226,10 +226,3 @@ class TestAggregate:
         locs = plan_grid(26, 20, 8, 6)
         estimates = [(extract_patch(img, loc, 8), loc) for loc in locs]
         np.testing.assert_allclose(aggregate(estimates, 26, 20), img, atol=1e-12)
-
-    def test_one_shot_generator_sums_like_a_list(self, rng):
-        img = rng.random((20, 26)) * 255
-        locs = plan_grid(26, 20, 8, 3)
-        pairs = [(extract_patch(img, loc, 8) + rng.random(64), loc) for loc in locs]
-        once = aggregate((pair for pair in pairs), 26, 20)
-        assert once.tobytes() == aggregate(pairs, 26, 20).tobytes()

@@ -246,36 +246,6 @@ class TestDenoiseImage:
         assert len(db) > cfg.pool_size
         assert kept and max(kept) < len(db)
 
-    def test_estimates_stream_into_aggregate(self, tiny_scene, monkeypatch):
-        clean, db = tiny_scene
-        noisy = add_gaussian_noise(clean, 12.0, 16)
-        cfg = _tiny_cfg(sigma=12.0)
-        streamed = [denoise_image(noisy, db, cfg, threads=t)[0] for t in (1, 2)]
-        made, lags = [0], []
-
-        def counted(*args, **kwargs):
-            made[0] += 1
-            return denoise_patch(*args, **kwargs)
-
-        def collect_first(estimates, width, height):
-            assert iter(estimates) is estimates  # one-shot, not a list
-            made[0] = 0
-            pairs = []
-            for pair in estimates:
-                pairs.append(pair)
-                lags.append(made[0] - len(pairs))
-            return aggregate(pairs, width, height)
-
-        monkeypatch.setattr(pipeline, "denoise_patch", counted)
-        monkeypatch.setattr(pipeline, "aggregate", collect_first)
-        for threads, out in zip((1, 2), streamed):
-            lags.clear()
-            collected, _ = denoise_image(noisy, db, cfg, threads=threads)
-            assert collected.tobytes() == out.tobytes()
-            if threads == 1:
-                # Each estimate reaches aggregate before the next block starts.
-                assert 0 <= min(lags) and max(lags) < dbmod.SCREEN_BLOCK
-
     def test_basis_memo_changes_no_output_and_hits_on_flat_regions(
             self, tiny_scene, monkeypatch):
         # tiny_scene is flat 4x4 blocks, so its flat queries select the same
