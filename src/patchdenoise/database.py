@@ -150,21 +150,7 @@ def _query_distances(db: Database, q: np.ndarray) -> np.ndarray:
 
 
 def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest values; ties broken by lower index.
-
-    Returns exactly np.argsort(values, kind="stable")[:k] for every input,
-    ties, infinities and NaN included, without sorting all of values: the
-    k-th smallest value bounds the candidates, which are taken in index
-    order and stable-sorted. NaN can leave fewer than k candidates; that
-    case, and k outside [1, len(values)), uses the full stable sort.
-    """
-    values = np.asarray(values)
-    if 1 <= k < len(values):
-        kth = np.partition(values, k - 1)[k - 1]
-        candidates = np.flatnonzero(values <= kth)
-        if len(candidates) >= k:
-            order = np.argsort(values[candidates], kind="stable")[:k]
-            return candidates[order]
+    """Indices of the k smallest values; ties broken by lower index."""
     return np.argsort(values, kind="stable")[:k]
 
 

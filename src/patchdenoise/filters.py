@@ -115,6 +115,11 @@ def spectrum_bayes(s, sigma: float) -> np.ndarray:
     return _safe_ratio(s, s + sigma**2)
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0 <= gamma < np.inf:  # NaN fails too
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
+
+
 def spectrum_penalized(s, sigma: float, gamma: float, alpha: int) -> np.ndarray:
     """Sparsity-penalized shrinkage; gamma = 0 reduces to spectrum_bayes.
 
@@ -122,8 +127,7 @@ def spectrum_penalized(s, sigma: float, gamma: float, alpha: int) -> np.ndarray:
     alpha = 0 hard-thresholds: lam = s / (s + sigma^2) when
     s^2 / (s + sigma^2) > gamma, else 0.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
     s = np.asarray(s, dtype=np.float64)
     den = s + sigma**2
     if alpha == 1:

@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -61,6 +62,11 @@ class DenoiseConfig:
     passes: int = 2
 
     def __post_init__(self):
+        for name in ("patch_size", "stride_pass1", "stride_pass2", "k",
+                     "pool_size", "passes"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.sigma < np.inf:  # NaN fails too
             raise ValueError(
                 f"sigma must be finite and > 0 for denoising, got {self.sigma}"
@@ -78,8 +84,7 @@ class DenoiseConfig:
             check_grid(self.patch_size, stride)
         if self.passes not in (1, 2):
             raise ValueError(f"passes must be 1 or 2, got {self.passes}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        filters._check_gamma(self.gamma)
         if self.tau is not None:
             dbmod._check_tau(self.tau)
         if self.bandwidth is not None and not self.bandwidth > 0:
@@ -203,7 +208,8 @@ def denoise_patch(q, db, cfg: DenoiseConfig, pilot=None, truth=None) -> np.ndarr
 def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
     """denoise_patch over the stride grid, piloted by pilot_image if given.
 
-    Each block of queries is screened first (index, from
+    The grid is cut into blocks of SCREEN_BLOCK queries, the same blocks at
+    every thread count. Each block is screened (index, from
     database.screen_index) and each patch searches only its candidate rows;
     they hold its exact m = min(pool_size, len(db)) nearest in index order,
     so the estimate is the one the whole database gives.
@@ -212,7 +218,8 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
     p = cfg.patch_size
     locs = plan_grid(w, h, p, stride)
 
-    def block(ix):
+    def block(start):
+        ix = range(start, min(start + dbmod.SCREEN_BLOCK, len(locs)))
         queries = [extract_patch(noisy, locs[i], p) for i in ix]
         estimates = []
         for i, q, cand in zip(ix, queries, dbmod.screen(index, queries)):
@@ -225,16 +232,13 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
             estimates.append(denoise_patch(q, sub, cfg, pilot=pilot, truth=truth))
         return estimates
 
-    def chunk(ix):
-        return [est for start in range(0, len(ix), dbmod.SCREEN_BLOCK)
-                for est in block(ix[start : start + dbmod.SCREEN_BLOCK])]
-
+    starts = range(0, len(locs), dbmod.SCREEN_BLOCK)
     if threads <= 1:
-        estimates = chunk(np.arange(len(locs)))
+        blocks = map(block, starts)
     else:
-        chunks = np.array_split(np.arange(len(locs)), threads * 4)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = [est for part in pool.map(chunk, chunks) for est in part]
+            blocks = list(pool.map(block, starts))
+    estimates = [est for part in blocks for est in part]
     return aggregate(zip(estimates, locs), w, h)
 
 
@@ -248,6 +252,9 @@ def denoise_image(
     noisy = as_image(noisy)
     if clean is not None:
         clean = as_image(clean)
+        if clean.shape != noisy.shape:
+            raise ValueError(f"clean image shape {clean.shape} != "
+                             f"noisy image shape {noisy.shape}")
     elif cfg.rule == "oracle":
         raise ValueError("rule 'oracle' requires the clean image")
     if db.patch_size != cfg.patch_size:
@@ -256,24 +263,19 @@ def denoise_image(
 
     index = dbmod.screen_index(db, min(cfg.pool_size, len(db)))
 
-    t0 = time.perf_counter()
-    first = _run_pass(noisy, db, cfg, cfg.stride_pass1, None, clean, threads,
-                      index)
-    t1 = time.perf_counter()
-    result = first
-    t2 = t1
-    if cfg.passes == 2:
-        result = _run_pass(noisy, db, cfg, cfg.stride_pass2, first, clean,
-                           threads, index)
-        t2 = time.perf_counter()
+    result, seconds = None, [0.0, 0.0]
+    for n, stride in enumerate((cfg.stride_pass1, cfg.stride_pass2)[:cfg.passes]):
+        start = time.perf_counter()
+        result = _run_pass(noisy, db, cfg, stride, result, clean, threads, index)
+        seconds[n] = time.perf_counter() - start
 
     report = Report(
         psnr_noisy=psnr(clean, noisy) if clean is not None else None,
         psnr_denoised=psnr(clean, result) if clean is not None else None,
         ssim_noisy=ssim(clean, noisy) if clean is not None else None,
         ssim_denoised=ssim(clean, result) if clean is not None else None,
-        seconds_pass1=t1 - t0,
-        seconds_pass2=t2 - t1,
+        seconds_pass1=seconds[0],
+        seconds_pass2=seconds[1],
         config=dataclasses.asdict(cfg),
     )
     return result, report

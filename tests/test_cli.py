@@ -33,6 +33,14 @@ def workspace(tmp_path, rng):
     return tmp_path, clean_path, noisy_path, db_dir
 
 
+def _spy_on_reads(monkeypatch) -> list:
+    """Record, instead of doing, every image and cache read."""
+    read = []
+    monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path))
+    monkeypatch.setattr(dbmod, "load_database_cache", read.append)
+    return read
+
+
 def _denoise_args(noisy_path, db_dir, out, report, **extra):
     args = [
         "denoise", "--input", str(noisy_path), "--db", str(db_dir),
@@ -99,14 +107,40 @@ class TestDenoiseCommand:
     def test_infinite_tau_reported_before_files_are_read(self, workspace, capsys,
                                                          monkeypatch):
         tmp, _, noisy_path, db_dir = workspace
-        read = []
-        monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path))
-        monkeypatch.setattr(dbmod, "load_database_cache", read.append)
+        read = _spy_on_reads(monkeypatch)
         code = main(_denoise_args(noisy_path, db_dir, tmp / "o.pgm",
                                   tmp / "r.json", tau="inf"))
         assert code == 2
         assert "tau must be >= 0 and finite, got inf" in capsys.readouterr().err
         assert read == []
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_reported_before_files_are_read(
+            self, workspace, capsys, monkeypatch, gamma):
+        tmp, _, noisy_path, db_dir = workspace
+        read = _spy_on_reads(monkeypatch)
+        args = _denoise_args(noisy_path, db_dir, tmp / "o.pgm", tmp / "r.json",
+                             rule="bayes_l1")
+        assert main(args + [f"--gamma={gamma}"]) == 2  # "-inf" alone reads as a flag
+        assert "gamma must be >= 0 and finite" in capsys.readouterr().err
+        assert read == []
+
+    def test_clean_of_another_shape_fails_before_any_pass(self, workspace, capsys,
+                                                          monkeypatch):
+        tmp, _, noisy_path, db_dir = workspace
+        wrong = tmp / "wrong.pgm"
+        wrong.write_bytes(write_pgm(np.zeros((48, 40))))
+        passes = []
+        monkeypatch.setattr(pipeline, "_run_pass",
+                            lambda *args: passes.append(args))
+        out = tmp / "o.pgm"
+        code = main(_denoise_args(noisy_path, db_dir, out, tmp / "r.json",
+                                  clean=wrong, rule="oracle"))
+        assert code == 2
+        assert ("clean image shape (48, 40) != noisy image shape (32, 32)"
+                in capsys.readouterr().err)
+        assert passes == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("stride1", 9, "stride 9 > patch_size 4 breaks coverage"),
@@ -274,6 +308,16 @@ class TestSweepCommand:
         assert calls == []
         assert not out.exists()
         assert ("sigma" if flag == "--sigmas" else "rule") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_reported_before_files_are_read(
+            self, workspace, capsys, monkeypatch, gamma):
+        tmp, clean_path, _, db_dir = workspace
+        read = _spy_on_reads(monkeypatch)
+        args = self._args(clean_path, db_dir, tmp / "sweep.csv")
+        assert main(args + [f"--gamma={gamma}"]) == 2
+        assert "gamma must be >= 0 and finite" in capsys.readouterr().err
+        assert read == []
 
     def test_rule_flag_rejected(self, workspace):
         # sweep reads only --rules; neither an unread --rule nor a prefix may pass.

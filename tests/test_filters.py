@@ -320,6 +320,12 @@ class TestPenalizedSpectrum:
         with pytest.raises(ValueError):
             spectrum_penalized(np.array([1.0]), 1.0, -0.1, 1)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("alpha", [0, 1])
+    def test_non_finite_gamma_rejected(self, gamma, alpha):
+        with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
+            spectrum_penalized(np.array([1.0]), 1.0, gamma, alpha)
+
 
 class TestPilotSpectrum:
     def test_equals_oracle_at_true_patch(self, rng):

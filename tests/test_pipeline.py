@@ -126,6 +126,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
             DenoiseConfig(sigma=10.0, tau=tau)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
+            DenoiseConfig(sigma=10.0, rule="bayes_l1", gamma=gamma)
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 40.0), ("pool_size", 200.5), ("patch_size", 8.0),
+        ("stride_pass1", 6.0), ("stride_pass2", np.float64(4)), ("passes", 2.0),
+        ("k", "40"),
+    ])
+    def test_rejects_non_integral_integer_settings(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DenoiseConfig(sigma=50.0, **{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = DenoiseConfig(sigma=50.0, k=np.int64(40), pool_size=np.int32(200),
+                            patch_size=np.int16(8), stride_pass1=np.uint8(6),
+                            stride_pass2=np.int64(4), passes=np.int64(2))
+        assert cfg == DenoiseConfig(sigma=50.0)
+
     def test_first_pass_is_not_a_selection(self):
         # 'auto' already refines around the pass-1 pilot in pass 2.
         with pytest.raises(ValueError, match="unknown selection 'first_pass'"):
@@ -173,6 +193,29 @@ class TestDenoiseImage:
         serial, _ = denoise_image(noisy, db, cfg, threads=1)
         threaded, _ = denoise_image(noisy, db, cfg, threads=4)
         np.testing.assert_array_equal(serial, threaded)
+
+    def test_threads_screen_the_same_blocks(self, tiny_scene, monkeypatch):
+        clean, db = tiny_scene
+        noisy = add_gaussian_noise(clean, 15.0, 6)
+        cfg = _tiny_cfg(sigma=15.0)
+        screen = dbmod.screen
+
+        def screened_blocks(threads):
+            blocks = []
+
+            def spy(index, queries):
+                blocks.append(np.stack(queries).tobytes())
+                return screen(index, queries)
+
+            monkeypatch.setattr(dbmod, "screen", spy)
+            denoise_image(noisy, db, cfg, threads=threads)
+            return blocks
+
+        serial = screened_blocks(1)
+        counts = [len(plan_grid(32, 32, 4, stride)) for stride in (3, 2)]
+        assert len(serial) == sum(-(-n // dbmod.SCREEN_BLOCK) for n in counts)
+        # Worker threads may screen in any order, but never other blocks.
+        assert sorted(screened_blocks(2)) == sorted(serial)
 
     def test_single_pass_config(self, tiny_scene):
         clean, db = tiny_scene
@@ -298,6 +341,17 @@ class TestDenoiseImage:
             denoise_image(clean, Database(patches=patches, patch_size=4),
                           _tiny_cfg())
         assert calls == []
+
+    def test_clean_shape_checked_before_any_pass(self, tiny_scene, monkeypatch):
+        clean, db = tiny_scene
+        passes = []
+        monkeypatch.setattr(pipeline, "_run_pass",
+                            lambda *args: passes.append(args))
+        with pytest.raises(ValueError, match=r"clean image shape \(32, 28\) != "
+                                             r"noisy image shape \(32, 32\)"):
+            denoise_image(clean, db, _tiny_cfg(rule="oracle"),
+                          clean=clean[:, :28])
+        assert passes == []
 
     def test_database_patch_size_must_match(self, tiny_scene):
         clean, db = tiny_scene
