@@ -1,14 +1,16 @@
 """Targeted patch database: construction, search, and selection refinement.
 
 The database is an in-memory (n, d) matrix of clean reference patches.
-Queries are read-only; a built database is never mutated.
+Queries are read-only; a built database is never mutated, and from its
+first screened search on its rows are read-only.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +46,13 @@ class Database:
     """Clean reference patches.
 
     patches: (n_total, d) float64, one row per patch, d = patch_size**2.
+    _screen: the screen index of the last m searched, kept by _screen_of.
     """
 
     patches: np.ndarray
     patch_size: int
+    _screen: ScreenIndex | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if self.patch_size < 1:
@@ -412,7 +417,7 @@ class ScreenIndex:
 
 
 def screen_index(db: Database, m: int) -> ScreenIndex:
-    """The screen of db for each query's m nearest rows.
+    """The screen of db for each query's m nearest rows, built afresh.
 
     The rows left by half_norms (which also rejects a non-finite database)
     are gathered into the float32 table _CHUNK_ROWS at a time, so they are
@@ -433,6 +438,31 @@ def screen_index(db: Database, m: int) -> ScreenIndex:
         part = rows[start : start + _CHUNK_ROWS]
         table[:, start : start + len(part)] = db.patches[part].T
     return ScreenIndex(rows, table, norms[rows].astype(np.float32), radius, m)
+
+
+# Makes _screen_of's check and build one step for callers on other threads.
+_SCREEN_LOCK = threading.Lock()
+
+
+def _screen_of(db: Database, m: int) -> ScreenIndex:
+    """db's screen index for m, built on first use and kept with db.
+
+    The index is rebuilt only when m changes; callers fetch it before any
+    worker thread starts. Once it is built, db.patches and the index's
+    arrays are read-only, so a write raises ValueError instead of leaving
+    the kept table stale. screen_index is the uncached builder.
+    """
+    with _SCREEN_LOCK:
+        index = db._screen
+        if index is None or index.m != m:
+            del index  # so the old table is freed before the new one is built
+            object.__setattr__(db, "_screen", None)
+            index = screen_index(db, m)
+            for array in (db.patches, index.rows, index.table, index.norms):
+                if array is not None:
+                    array.flags.writeable = False
+            object.__setattr__(db, "_screen", index)
+        return index
 
 
 def screen(index: ScreenIndex, queries) -> list:
@@ -526,7 +556,7 @@ def database_quality(db: Database, clean) -> float:
     clean = as_image(clean)
     h, w = clean.shape
     dense = extract_patches(clean, plan_grid(w, h, db.patch_size, 1), db.patch_size)
-    index = screen_index(db, 1)
+    index = _screen_of(db, 1)
     nearest = np.empty(len(dense))
     for start in range(0, len(dense), SCREEN_BLOCK):
         block = dense[start : start + SCREEN_BLOCK]

@@ -209,10 +209,10 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
     """denoise_patch over the stride grid, piloted by pilot_image if given.
 
     The grid is cut into blocks of SCREEN_BLOCK queries, the same blocks at
-    every thread count. Each block is screened (index, from
-    database.screen_index) and each patch searches only its candidate rows;
-    they hold its exact m = min(pool_size, len(db)) nearest in index order,
-    so the estimate is the one the whole database gives.
+    every thread count. Each block is screened with index, the screen that
+    database._screen_of keeps with db, and each patch searches only its
+    candidate rows; they hold its exact m = min(pool_size, len(db)) nearest
+    in index order, so the estimate is the one the whole database gives.
     """
     h, w = noisy.shape
     p = cfg.patch_size
@@ -261,7 +261,7 @@ def denoise_image(
         raise ValueError(f"database patch size {db.patch_size} != "
                          f"configured patch size {cfg.patch_size}")
 
-    index = dbmod.screen_index(db, min(cfg.pool_size, len(db)))
+    index = dbmod._screen_of(db, min(cfg.pool_size, len(db)))
 
     result, seconds = None, [0.0, 0.0]
     for n, stride in enumerate((cfg.stride_pass1, cfg.stride_pass2)[:cfg.passes]):

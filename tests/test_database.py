@@ -4,8 +4,12 @@ Brute-force oracles (exhaustive sorts, subset enumeration, double loops)
 validate each search operation independently of its implementation.
 """
 
+import dataclasses
 import struct
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -388,6 +392,86 @@ class TestScreen:
         db.patches[7, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             half_norms(db, 10)
+
+
+class TestKeptScreen:
+    def test_kept_for_the_last_m_only(self, rng, monkeypatch):
+        db = _random_db(rng, n=200)
+        built, repeated = [], database._repeated_rows
+        monkeypatch.setattr(database, "_repeated_rows",
+                            lambda patches, m: built.append(m) or repeated(patches, m))
+        first = database._screen_of(db, 10)
+        assert database._screen_of(db, 10) is first and built == [10]
+        other = database._screen_of(db, 20)
+        assert other is not first and other.m == 20
+        assert database._screen_of(db, 10) is not first
+        assert built == [10, 20, 10]
+
+    def test_matches_the_uncached_builder(self, rng):
+        db = _random_db(rng, n=200)
+        kept = database._screen_of(db, 10)
+        fresh = screen_index(db, 10)
+        assert fresh is not screen_index(db, 10)
+        for name in ("rows", "table", "norms"):
+            np.testing.assert_array_equal(getattr(kept, name), getattr(fresh, name))
+            assert getattr(fresh, name).flags.writeable
+        assert (kept.radius, kept.m) == (fresh.radius, fresh.m)
+
+    def test_uncached_builder_keeps_rows_writable(self, rng):
+        db = _random_db(rng, n=200)
+        screen_index(db, 10)
+        db.patches[0, 0] = 1.0
+        assert db._screen is None
+
+    def test_slot_is_private_state(self, rng):
+        db = _random_db(rng, n=200)
+        twin = Database(patches=db.patches, patch_size=4)
+        database._screen_of(db, 10)
+        assert db == twin and repr(db) == repr(twin)
+        assert dataclasses.replace(db)._screen is None
+        with pytest.raises(TypeError):
+            Database(db.patches, 4, None)
+
+    def test_concurrent_first_searches_build_once(self, rng, monkeypatch):
+        db = _random_db(rng, n=2000)
+        built, repeated = [], database._repeated_rows
+        monkeypatch.setattr(database, "_repeated_rows",
+                            lambda patches, m: built.append(m) or repeated(patches, m))
+        barrier = threading.Barrier(8)
+
+        def first_search():
+            barrier.wait(timeout=10)
+            return database._screen_of(db, 10)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(first_search) for _ in range(8)]
+                indexes = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert built == [10] and all(index is indexes[0] for index in indexes)
+
+    def test_searched_database_still_saves(self, tmp_path, rng):
+        db = _random_db(rng, n=200)
+        database._screen_of(db, 10)
+        path = tmp_path / "patches.cache"
+        save_database_cache(db, path)
+        assert load_database_cache(path).patches.tobytes() == db.patches.tobytes()
+
+    def test_database_quality_builds_once_and_freezes_rows(self, rng, monkeypatch):
+        img = rng.random((12, 12)) * 255
+        db = _random_db(rng, n=200)
+        built, repeated = [], database._repeated_rows
+        monkeypatch.setattr(database, "_repeated_rows",
+                            lambda patches, m: built.append(m) or repeated(patches, m))
+        values = [database_quality(db, img) for _ in range(2)]
+        assert values[0] == values[1] == database_quality(
+            Database(patches=db.patches.copy(), patch_size=4), img)
+        assert built == [1, 1]  # the database, then its fresh copy
+        with pytest.raises(ValueError, match="read-only"):
+            db.patches[0, 0] = 0.0
 
 
 def _cross_similarity_with_cdist(db, q, m, k, tau):

@@ -391,6 +391,91 @@ class TestDenoiseImage:
         assert out.max() <= hi + 1e-9
 
 
+def _fresh_copy(db):
+    return Database(patches=db.patches.copy(), patch_size=db.patch_size)
+
+
+@pytest.fixture()
+def screen_builds(monkeypatch):
+    """The m of every screen index built from here on, in order."""
+    built, half_norms = [], dbmod.half_norms
+
+    def counting(db, m):
+        built.append(m)
+        return half_norms(db, m)
+
+    monkeypatch.setattr(dbmod, "half_norms", counting)
+    return built
+
+
+class TestScreenKeptWithDatabase:
+    def test_two_calls_build_the_index_once(self, tiny_scene, screen_builds):
+        clean, db = tiny_scene
+        db = _fresh_copy(db)
+        noisy = add_gaussian_noise(clean, 15.0, 8)
+        for _ in range(2):
+            denoise_image(noisy, db, _tiny_cfg(sigma=15.0))
+        assert screen_builds == [20]
+
+    def test_sweep_builds_the_index_once(self, tiny_scene, screen_builds):
+        clean, db = tiny_scene
+        rows = run_sweep(clean, _fresh_copy(db), _tiny_cfg(),
+                         sigmas=[15.0, 25.0], rules=["bayes", "lpg"])
+        assert len(rows) == 4 and screen_builds == [20]
+
+    def test_a_new_m_rebuilds_the_index(self, tiny_scene, screen_builds):
+        clean, db = tiny_scene
+        db = _fresh_copy(db)
+        noisy = add_gaussian_noise(clean, 15.0, 8)
+        for pool_size in (20, 20, 30, 30, 20):
+            denoise_image(noisy, db, _tiny_cfg(sigma=15.0, pool_size=pool_size))
+        dbmod.database_quality(db, clean)
+        dbmod.database_quality(db, clean)
+        denoise_image(noisy, db, _tiny_cfg(sigma=15.0))
+        assert screen_builds == [20, 30, 20, 1, 20]
+
+    def test_kept_index_matches_a_fresh_copy(self, tiny_scene):
+        clean, db = tiny_scene
+        db = _fresh_copy(db)
+        noisy = add_gaussian_noise(clean, 25.0, 9)
+        cfgs = [_tiny_cfg(sigma=25.0), _tiny_cfg(sigma=25.0, pool_size=30),
+                _tiny_cfg(sigma=25.0, selection="cross_similarity",
+                          rule="bm3d_pilot")]
+        for cfg in cfgs + cfgs:
+            for threads in (1, 2):
+                kept, _ = denoise_image(noisy, db, cfg, threads=threads)
+                fresh, _ = denoise_image(noisy, _fresh_copy(db), cfg,
+                                         threads=threads)
+                assert kept.tobytes() == fresh.tobytes()
+            quality = dbmod.database_quality(db, clean)
+            assert quality == dbmod.database_quality(_fresh_copy(db), clean)
+
+    def test_searched_rows_and_index_are_read_only(self, tiny_scene):
+        clean, db = tiny_scene
+        db = _fresh_copy(db)
+        db.patches[0, 0] = db.patches[0, 0]  # writable before the first search
+        denoise_image(clean, db, _tiny_cfg())
+        index = dbmod._screen_of(db, 20)
+        for array in (db.patches, index.rows, index.table, index.norms):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        copy = db.patches.copy()
+        copy[0, 0] = -1.0
+        assert copy.flags.writeable and db.patches[0, 0] != -1.0
+
+    def test_rejected_database_is_neither_kept_nor_frozen(self, tiny_scene):
+        clean, db = tiny_scene
+        db = _fresh_copy(db)
+        value = db.patches[5, 5]
+        db.patches[5, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            denoise_image(clean, db, _tiny_cfg())
+        db.patches[5, 5] = value
+        out, _ = denoise_image(clean, db, _tiny_cfg())
+        fresh, _ = denoise_image(clean, _fresh_copy(db), _tiny_cfg())
+        assert out.tobytes() == fresh.tobytes()
+
+
 class TestReportSerialization:
     def test_stable_key_order_and_schema(self, tiny_scene):
         clean, db = tiny_scene
