@@ -2,7 +2,10 @@
 
 The database is an in-memory (n, d) matrix of clean reference patches.
 Queries are read-only; a built database is never mutated, and from its
-first screened search on its rows are read-only.
+first screened search on its rows are read-only. A database whose rows are
+a view of another array (Database(patches=base[:], ...)) takes a private
+copy of them at that search, so a later write through base cannot leave
+the kept screen stale; build_database's own rows are never copied.
 """
 
 from __future__ import annotations
@@ -450,14 +453,19 @@ def _screen_of(db: Database, m: int) -> ScreenIndex:
     The index is rebuilt only when m changes; callers fetch it before any
     worker thread starts. Once it is built, db.patches and the index's
     arrays are read-only, so a write raises ValueError instead of leaving
-    the kept table stale. screen_index is the uncached builder.
+    the kept table stale. Rows that are a view of another array, which a
+    write through that array would still change, are first replaced by a
+    private copy; a database rejected by half_norms keeps its own rows.
+    screen_index is the uncached builder.
     """
     with _SCREEN_LOCK:
         index = db._screen
         if index is None or index.m != m:
             del index  # so the old table is freed before the new one is built
             object.__setattr__(db, "_screen", None)
-            index = screen_index(db, m)
+            patches = db.patches if db.patches.base is None else db.patches.copy()
+            index = screen_index(Database(patches, db.patch_size), m)
+            object.__setattr__(db, "patches", patches)
             for array in (db.patches, index.rows, index.table, index.norms):
                 if array is not None:
                     array.flags.writeable = False
@@ -476,7 +484,10 @@ def screen(index: ScreenIndex, queries) -> list:
     np.argsort(cdist(q, db.patches), kind="stable"); ranking them in index
     order reproduces that order exactly. None means the whole database: for
     every query when the index has no table, and for a query with
-    R + ‖q‖ >= _GUARD, which is never cast to float32.
+    R + ‖q‖ >= _GUARD, which is never cast to float32. queries is an (n, d)
+    array: no queries give [], and another shape raises ValueError when
+    the index has a table. Each query's threshold comes from its own score
+    row, so the block's scores are the only array of their size it holds.
 
     tol bounds the rounding. Let u = 2**-24 and η = 2**-126: one float32
     rounding, with gradual underflow or flush-to-zero, errs by at most
@@ -505,18 +516,20 @@ def screen(index: ScreenIndex, queries) -> list:
     term with room to spare.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    if index.table is None:
+    if index.table is None or len(queries) == 0:
         return [None] * len(queries)
     d, m = len(index.table), index.m
+    if queries.ndim != 2 or queries.shape[1] != d:
+        raise ValueError(f"queries of shape {queries.shape} do not match "
+                         f"the index's (n, {d})")
     reach = index.radius + np.sqrt(np.einsum("ij,ij->i", queries, queries))
     near = np.flatnonzero(reach < _GUARD)  # NaN and inf fail too
     h = queries[near].astype(np.float32) @ index.table
     np.subtract(index.norms, h, out=h)
-    kth = np.partition(h, m - 1, axis=1)[:, m - 1]
     tol = (d + 12) * 2.0**-25 * reach[near] ** 2 + d * 2.0**-121
-    limit = (kth + tol).astype(np.float32)
     out = [None] * len(queries)
-    for i, row, cut in zip(near, h, limit):
+    for i, row, t in zip(near, h, tol):
+        cut = np.float32(np.partition(row, m - 1)[m - 1] + t)
         out[i] = index.rows[np.flatnonzero(row <= cut)]
     return out
 

@@ -8,6 +8,7 @@ import dataclasses
 import struct
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
@@ -393,6 +394,28 @@ class TestScreen:
         with pytest.raises(ValueError, match="finite"):
             half_norms(db, 10)
 
+    def test_queries_must_match_the_table(self, rng):
+        index = screen_index(_random_db(rng, n=100), 10)
+        assert screen(index, []) == [] == screen(index, np.empty((0, 16)))
+        for bad in (np.zeros(16), np.zeros((2, 9)), np.zeros((2, 16, 1))):
+            with pytest.raises(ValueError) as err:
+                screen(index, bad)
+            assert str(bad.shape) in str(err.value) and "(n, 16)" in str(err.value)
+
+    def test_a_block_holds_its_scores_once(self, rng):
+        db = _random_db(rng, n=20_000, d=64)
+        index = screen_index(db, 200)
+        queries = 10.0 * rng.standard_normal((16, 64))
+        screen(index, queries)  # warm-up
+        tracemalloc.start()
+        try:
+            screen(index, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scores = 16 * index.table.shape[1] * 4  # the block's float32 scores
+        assert peak <= 1.25 * scores
+
 
 class TestKeptScreen:
     def test_kept_for_the_last_m_only(self, rng, monkeypatch):
@@ -452,6 +475,12 @@ class TestKeptScreen:
         finally:
             sys.setswitchinterval(interval)
         assert built == [10] and all(index is indexes[0] for index in indexes)
+
+    def test_built_rows_are_searched_in_place(self, rng):
+        db = build_database([rng.random((20, 20)) * 255], 4, 1)
+        rows = db.patches
+        database._screen_of(db, 10)
+        assert db.patches is rows and not rows.flags.writeable
 
     def test_searched_database_still_saves(self, tmp_path, rng):
         db = _random_db(rng, n=200)

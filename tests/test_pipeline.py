@@ -463,6 +463,18 @@ class TestScreenKeptWithDatabase:
         copy[0, 0] = -1.0
         assert copy.flags.writeable and db.patches[0, 0] != -1.0
 
+    def test_rows_viewing_another_array_are_copied_first(self, tiny_scene):
+        clean, db = tiny_scene
+        base = db.patches.copy()
+        view = Database(patches=base[:], patch_size=db.patch_size)
+        noisy = add_gaussian_noise(clean, 15.0, 8)
+        first, _ = denoise_image(noisy, view, _tiny_cfg(sigma=15.0))
+        base[:] = 255.0 - base  # a write the view's read-only flag does not stop
+        second, _ = denoise_image(noisy, view, _tiny_cfg(sigma=15.0))
+        fresh, _ = denoise_image(noisy, _fresh_copy(view), _tiny_cfg(sigma=15.0))
+        assert second.tobytes() == fresh.tobytes() == first.tobytes()
+        assert not np.shares_memory(view.patches, base)
+
     def test_rejected_database_is_neither_kept_nor_frozen(self, tiny_scene):
         clean, db = tiny_scene
         db = _fresh_copy(db)
