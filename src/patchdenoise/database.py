@@ -3,9 +3,14 @@
 The database is an in-memory (n, d) matrix of clean reference patches.
 Queries are read-only; a built database is never mutated, and from its
 first screened search on its rows are read-only. A database whose rows are
-a view of another array (Database(patches=base[:], ...)) takes a private
-copy of them at that search, so a later write through base cannot leave
-the kept screen stale; build_database's own rows are never copied.
+a view of another array (Database(patches=base[:], ...)) or are not
+C-ordered takes a private copy of them at that search, so a later write
+through base cannot leave the kept screen stale; build_database's own rows
+are never copied.
+
+A search distance is ‖x − q‖ = √max(‖x‖² − 2x·q + ‖q‖², 0) in float64, from
+one BLAS dot product per row (np.vecdot), which reads a contiguous row the
+same way wherever it sits: identical rows get identical distances.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .imaging import as_image, extract_patches, plan_grid, read_pgm
 
@@ -44,18 +48,20 @@ __all__ = [
 _CACHE_MAGIC = b"TDBC\x01\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Database:
     """Clean reference patches.
 
     patches: (n_total, d) float64, one row per patch, d = patch_size**2.
+    Two databases compare equal only when they are the same object.
     _screen: the screen index of the last m searched, kept by _screen_of.
+    _norms: ‖x‖² of every row, kept once the rows are read-only.
     """
 
     patches: np.ndarray
     patch_size: int
-    _screen: ScreenIndex | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+    _screen: ScreenIndex | None = field(default=None, init=False, repr=False)
+    _norms: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.patch_size < 1:
@@ -70,6 +76,15 @@ class Database:
 
     def __len__(self) -> int:
         return len(self.patches)
+
+    def take(self, rows) -> Database:
+        """The database of the given rows; it keeps their norms if this one
+        keeps its own (then its rows are read-only)."""
+        sub = Database(self.patches[rows], self.patch_size)
+        if self._norms is not None:
+            sub.patches.flags.writeable = False
+            object.__setattr__(sub, "_norms", self._norms[rows])
+        return sub
 
 
 def build_database(images, patch_size: int, stride: int) -> Database:
@@ -147,14 +162,39 @@ def load_database_cache(path) -> Database:
 # ---------------------------------------------------------------------------
 
 
-def _query_distances(db: Database, q: np.ndarray) -> np.ndarray:
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """‖x‖² of each row of x (of x itself when 1-D); ValueError unless every
+    one is below _NORM_LIMIT (NaN fails too)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.vecdot(x, x)
+    # A scalar's own comparison: its max() costs more than the dot product.
+    if not (norms.max() if norms.ndim else norms) < _NORM_LIMIT:
+        raise ValueError("patches and queries must hold finite values with "
+                         "squared norms below 2**1020")
+    return norms
+
+
+def _row_norms(db: Database) -> np.ndarray:
+    if db._norms is None:
+        return _sq_norms(np.asarray(db.patches, dtype=np.float64))
+    return db._norms
+
+
+def _query_distances(db: Database, q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (db.patches.shape[1],):
         raise ValueError(
-            f"query dimension {q.shape} does not match patches "
+            f"patch dimension {q.shape} does not match the database's "
             f"({db.patches.shape[1]},)"
         )
-    return cdist(q[None, :], db.patches)[0]
+    q = np.ascontiguousarray(q)  # a strided dot product sums in another order
+    qq = _sq_norms(q)
+    dist = np.vecdot(db.patches, q)
+    dist *= -2.0
+    dist += _row_norms(db)
+    dist += qq
+    np.maximum(dist, 0.0, out=dist)
+    return np.sqrt(dist, out=dist)
 
 
 def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
@@ -166,7 +206,8 @@ def knn(db: Database, q, k: int) -> np.ndarray:
     """The k nearest database patches to q by Euclidean distance.
 
     Returns database indices sorted ascending by distance, ties broken by
-    lower index.
+    lower index. A query or row that is not finite, or whose squared norm
+    reaches 2**1020, raises ValueError.
     """
     if not 1 <= k <= len(db):
         raise ValueError(f"k must be in [1, {len(db)}], got {k}")
@@ -205,117 +246,55 @@ def refine_cross_similarity(
     """Select k patches penalizing candidates far from the rest of the pool.
 
     Restricts to the pool_size nearest candidates, scores each by its query
-    distance plus tau times the sum of its distances to every pool member,
-    and keeps the k smallest scores. tau = 0 reduces to plain knn; a tau
-    that is NaN, negative or infinite raises ValueError.
-
-    The selection, in order, is always the one the pdist pair matrix
-    gives. Usually it comes without that matrix: _certified_sums folds
-    identical pool rows into one, takes the column sums from one GEMM, and
-    proves with a rounding bound that they rank the pool as pdist's would.
-    When it cannot (near-tied scores, distinct rows equidistant from q,
-    huge or non-finite values), the pair matrix is computed with pdist.
+    distance plus tau times the sum of its distances to every pool member
+    (_pool_sums), and keeps the k smallest scores. tau = 0 reduces to plain
+    knn; a tau that is NaN, negative or infinite raises ValueError.
     """
     _check_tau(tau)
     pool, c = _candidate_pool(db, q, pool_size, k)
-    rows = db.patches[pool]
-    B = _certified_sums(rows, c, tau, k)
-    if B is None:
-        # pdist computes each pair once; (a-b)**2 == (b-a)**2 exactly, so for
-        # finite rows B is bit-identical to cdist(rows, rows).
-        B = squareform(pdist(rows))
-    scores = cross_similarity_scores(c, B, tau)
+    scores = cross_similarity_scores(c, _pool_sums(db.patches[pool], c)[None, :], tau)
     # Score ties break by lower database index, not by pool position.
     return pool[np.lexsort((pool, scores))[:k]]
 
 
-def _certified_sums(rows, c, tau: float, k: int):
-    """The pool's column sums from one GEMM as a (1, m) array, or None.
+def _pool_sums(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each pool row's summed distance to every pool row, as an (m,) array.
 
-    rows are the m pool rows and c their query distances, ascending, as
-    _candidate_pool returns them. A result B guarantees that the first k of
-    lexsort((pool, cross_similarity_scores(c, B, tau))) are exactly the
-    first k that squareform(pdist(rows)) gives, in order. None means that
-    could not be shown; it is returned when a value of rows or c, or tau,
-    is NaN or not below _GUARD, or tau < 0, so that nothing below overflows
-    or warns.
-
-    Fold. Identical rows have bitwise-equal c and identical pdist rows and
-    columns, so their exact scores are equal and both paths break their tie
-    by index. Each row in a run of equal c is checked value by value
-    against the row before it (None if a run holds distinct rows), and the
-    runs are folded into g distinct rows x_i with multiplicities w_i.
-
-    Score. G = x xᵀ (one GEMM), n = diag(G), D̂ = √max(n_i + n_j − 2G_ij, 0),
-    Σ̂ = w D̂ and ŝ = c + τΣ̂, which cross_similarity_scores recomputes
-    bit for bit from B = Σ̂ per row. The exact path's score is
-    s = c + τS, with S the sequential column sums of pdist's B.
-
-    Bound. Let u = 2**-53 and η = 2**-1022: one float64 operation, with
-    gradual underflow, flush-to-zero or denormals-are-zero, errs by at most
-    u·|exact| + η. Let a_i = ‖x_i‖ and D_ij = ‖x_i − x_j‖ (exact), N = max n,
-    and m, d <= 2**26 (a larger pool or patch does not fit in memory).
-      - The GEMM, in any summation order, with or without FMA, errs by at
-        most γ_d·a_i·a_j + 2dη(1 + γ_d), γ_d = du/(1 − du); n_i = G_ii, so
-        D̂_ii = 0 exactly. With the two additions and a_i² <= (n_i + 4dη)/(1
-        − γ_d), the argument of the clamp errs from D_ij² by at most
-        (2d + 6)·u·(n_i + n_j) + 20dη, and δ_j = (2d + 8)·u·(n_j + N) + 64dη
-        bounds that for every i, its own rounding and a flushed √ input.
-      - The clamp only moves it toward D² >= 0; if |A − D²| <= δ then
-        |√A − D| <= δ/max(√A, √δ), and √ rounds by u·√A. So D̂_ij errs by
-        at most u·D̂_ij(1 + 2u) + (1 + 2u)·δ_j/max(D̂_ij, √δ_j).
-      - pdist, in any order, with or without FMA, errs by at most
-        (d + 4)·u·D_ij + 2√(3dη) per pair, and summing m of them in any
-        order adds γ_m relative; Σ̂ (nonnegative terms, none subnormal)
-        adds γ_g. So |Σ̂_j − S_j| <= (2m + d + 8)·u·Σ̂_j + (1 + 2**-21)·P_j
-        + m√d·2**-508, with P_j = Σ_{i≠j} w_i·δ_j/max(D̂_ij, √δ_j).
-      - ŝ and s each round twice, so |ŝ − s| <= (1 + 3u)·τ|Σ̂ − S| +
-        5u·ŝ + 5η.
-    Hence E = τ·((2m + d + 16)·u·Σ̂ + (1 + 2**-20)·P + m√d·2**-500) +
-    8u·ŝ + 2**-1018 bounds |ŝ − s| with room for rounding E itself (P is a
-    GEMV, within γ_g), and ŝ ± E rounded. P_j <= (m − w_j)·√δ_j needs no
-    pass over the matrix, so P is computed only when that form fails.
-
-    Certify. Sort the groups by ŝ; the first k rows end in group t. If, for
-    every group p <= t, ŝ_p + E_p < ŝ_r − E_r for every later group r, then
-    s_p < s_r: the first k rows by (ŝ, index) are the first k by (s, index).
+    The pool is folded (_fold) into its distinct rows x_i with
+    multiplicities w_i. One GEMM G = x xᵀ gives the pair distances
+    D_ij = √max(n_i + n_j − 2G_ij, 0), n = diag(G), so D_ii = 0 exactly,
+    and each distinct row's sum S_i = Σ_j w_j D_ij is one dot product.
+    Twins share one S_i, so they tie and break the tie by index.
     """
-    m, d = rows.shape
-    head = np.concatenate(([True], c[1:] != c[:-1]))
-    x = rows[head]
-    if not (c[-1] < _GUARD and 0 <= tau < _GUARD and np.abs(x).max() < _GUARD):
-        return None
-    twins = np.flatnonzero(~head)  # each must equal the row before it
-    if not (rows[twins] == rows[twins - 1]).all():
-        return None
-    group = np.cumsum(head) - 1
-    w = np.bincount(group).astype(np.float64)
+    x, group = _fold(rows, c)
     dist = x @ x.T
     norms = dist.diagonal().copy()
     dist *= -2.0
     dist += norms
     dist += norms[:, None]
     np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-    sums = w @ dist
-    s = c[head] + tau * sums
-    delta = (2 * d + 8) * 2.0**-53 * (norms + norms.max()) + 64 * d * 2.0**-1022
-    root = np.sqrt(delta)
-    order = np.argsort(s, kind="stable")
-    # Groups order[:n] must each score below every later group.
-    n = min(np.searchsorted(np.cumsum(w[order]), k) + 1, len(s) - 1)
+    return np.vecdot(dist, np.bincount(group).astype(np.float64))[group]
 
-    def certified(pairs) -> bool:
-        E = tau * ((2 * m + d + 16) * 2.0**-53 * sums + (1 + 2.0**-20) * pairs
-                   + m * np.sqrt(d) * 2.0**-500) + 8 * 2.0**-53 * s + 2.0**-1018
-        later = np.minimum.accumulate((s - E)[order[:0:-1]])[::-1]
-        return bool(np.all((s + E)[order[:n]] < later[:n]))
 
-    if not certified((m - w) * root):
-        np.maximum(dist, root, out=dist)
-        np.fill_diagonal(dist, np.inf)  # D̂_jj = 0 is exact: no term
-        if not certified(delta * (w @ np.divide(1.0, dist, out=dist))):
-            return None
-    return sums[group][None, :]
+def _fold(rows: np.ndarray, c: np.ndarray):
+    """The pool's distinct rows (-0.0 == 0.0) in order of first appearance,
+    and the row of that array each pool row equals.
+
+    c are the rows' query distances, ascending. Identical rows have equal c,
+    so the runs of equal c are the groups when each row of a run equals the
+    one before it; a run that holds distinct rows folds the pool by value.
+    The runs are checked first because that costs a third of the fastest
+    fold by value (a sort of the rows) and holds on most image pools.
+    """
+    same = np.flatnonzero(c[1:] == c[:-1]) + 1
+    if (rows[same] == rows[same - 1]).all():
+        head = np.ones(len(rows), dtype=bool)
+        head[same] = False
+        return rows[head], np.cumsum(head) - 1
+    first = {}
+    group = np.array([first.setdefault(row.tobytes(), len(first))
+                      for row in rows + 0.0])
+    return rows[np.unique(group, return_index=True)[1]], group
 
 
 def refine_first_pass(
@@ -330,10 +309,9 @@ def refine_first_pass(
     """
     _check_tau(tau)
     pool, c = _candidate_pool(db, q, pool_size, k)
-    pbar = np.asarray(pbar, dtype=np.float64)
-    if pbar.shape != (db.patches.shape[1],):
-        raise ValueError(f"pilot dimension {pbar.shape} does not match database")
-    e = cdist(pbar[None, :], db.patches[pool])[0]
+    # Every row's pilot distance, then the pool's: a screened database holds
+    # a few rows beyond the pool, fewer than gathering the pool costs.
+    e = _query_distances(db, pbar)[pool]
     scores = first_pass_scores(c, e, tau)
     return pool[np.lexsort((pool, scores))[:k]]
 
@@ -344,9 +322,11 @@ def refine_first_pass(
 
 _CHUNK_ROWS = 1024  # rows hashed, compared or gathered per step: about 0.5 MB
 SCREEN_BLOCK = 16  # queries per screening GEMM: 16 x r float32 scores
-# R + ‖q‖ below this keeps every screen value in float32 range; pool values,
-# query distances and tau below it keep every certified pool sum finite.
+# R + ‖q‖ below this keeps every screen value in float32 range.
 _GUARD = 2.0**60
+# Squared norms below this keep every step of a search or pool pair distance
+# finite: |x·q| < 2**1020 as well, so no sum of three such terms overflows.
+_NORM_LIMIT = 2.0**1020
 _MAX_DIM = 2**10  # patches up to 32 x 32: screen's tol assumes d·2**-24 <= 2**-14
 
 
@@ -385,19 +365,15 @@ def _repeated_rows(patches: np.ndarray, m: int) -> np.ndarray:
 def half_norms(db: Database, m: int) -> np.ndarray:
     """½‖x‖² per database row (float64), the row term of screen's ranking.
 
-    A row with m identical rows at lower indices gets inf: cdist gives
+    A row with m identical rows at lower indices gets inf: the search gives
     identical rows identical distances and ties go to the lower index, so
     such a row is never among a query's m nearest, and screen_index leaves
     it out of the float32 table. Rejects a database with a non-finite value
-    (or a squared norm beyond float64) with ValueError.
+    (or a squared norm of 2**1020 or more) with ValueError.
     """
-    patches = np.asarray(db.patches, dtype=np.float64)
-    norms = 0.5 * np.einsum("ij,ij->i", patches, patches)
-    if not np.all(np.isfinite(norms)):
-        raise ValueError("database patches must hold finite values "
-                         "with finite squared norms")
+    norms = 0.5 * _row_norms(db)
     if len(db) > m:
-        norms[_repeated_rows(patches, m)] = np.inf
+        norms[_repeated_rows(np.asarray(db.patches, dtype=np.float64), m)] = np.inf
     return norms
 
 
@@ -453,20 +429,27 @@ def _screen_of(db: Database, m: int) -> ScreenIndex:
     The index is rebuilt only when m changes; callers fetch it before any
     worker thread starts. Once it is built, db.patches and the index's
     arrays are read-only, so a write raises ValueError instead of leaving
-    the kept table stale. Rows that are a view of another array, which a
-    write through that array would still change, are first replaced by a
-    private copy; a database rejected by half_norms keeps its own rows.
-    screen_index is the uncached builder.
+    the kept table or row norms (db._norms) stale. Rows that are a view of
+    another array, which a write through that array would still change, or
+    not C-ordered (a dot product must read a row as it reads take's copies)
+    are first replaced by a private copy; a database rejected by
+    screen_index keeps its own rows. screen_index is the uncached builder.
     """
     with _SCREEN_LOCK:
         index = db._screen
         if index is None or index.m != m:
             del index  # so the old table is freed before the new one is built
             object.__setattr__(db, "_screen", None)
-            patches = db.patches if db.patches.base is None else db.patches.copy()
-            index = screen_index(Database(patches, db.patch_size), m)
+            patches = db.patches
+            if patches.base is not None or not patches.flags.c_contiguous:
+                patches = patches.copy()
+            fresh = Database(patches, db.patch_size)
+            object.__setattr__(fresh, "_norms", _row_norms(fresh))
+            index = screen_index(fresh, m)
             object.__setattr__(db, "patches", patches)
-            for array in (db.patches, index.rows, index.table, index.norms):
+            object.__setattr__(db, "_norms", fresh._norms)
+            for array in (db.patches, db._norms, index.rows, index.table,
+                          index.norms):
                 if array is not None:
                     array.flags.writeable = False
             object.__setattr__(db, "_screen", index)
@@ -480,9 +463,9 @@ def screen(index: ScreenIndex, queries) -> list:
     (callers pass blocks of SCREEN_BLOCK, which bounds its scores) by
     h = ½‖x‖² − x·q, which orders rows as ‖x − q‖² does. Every row with
     computed h within tol of the query's m-th smallest computed h is kept,
-    so the kept rows contain the first m of
-    np.argsort(cdist(q, db.patches), kind="stable"); ranking them in index
-    order reproduces that order exactly. None means the whole database: for
+    so the kept rows contain the first m of the search's reference order,
+    k_smallest(_query_distances(db, q), m); ranking them in index order
+    reproduces that order exactly. None means the whole database: for
     every query when the index has no table, and for a query with
     R + ‖q‖ >= _GUARD, which is never cast to float32. queries is an (n, d)
     array: no queries give [], and another shape raises ValueError when
@@ -504,16 +487,20 @@ def screen(index: ScreenIndex, queries) -> list:
       - the float32 subtraction: u(½a² + ab)(1 + 2**-13) + 2η.
     The ab and a² terms sum to at most (1 + 2**-12)((d + 3)ab + a²) <=
     ((d + 5)/2 + 1/4)·u·B, and η√d(R + b) <= uB + dη²/(2u) bounds the
-    √d terms, so E = ((d + 8)/2)·u·B + 7dη bounds the error. A row y among
-    cdist's m nearest is in the table (half_norms cuts no such row), and it
-    is no farther by cdist than some row z among the m of smallest computed
-    h; cdist's squared distances are within a relative
-    (d + 4)·2**-53 of exact, so exact h(y) <= h(z) + 2**-18·u·B + η, and
-    computed h(y) exceeds the m-th smallest computed h by at most
-    2E + 2**-18·u·B + η. Rounding the threshold (m-th smallest + tol, at
-    most about B in magnitude) to float32 once costs at most
-    u·B(1 + 2**-13) + 2η more. So tol = (d + 12)·u·B + 32dη covers every
-    term with room to spare.
+    √d terms, so E = ((d + 8)/2)·u·B + 7dη bounds the error.
+
+    The reference t = (n̂ − 2ĝ) + q̂q, from float64 dot products (any order,
+    FMA or not; v = 2**-53, ν = 2**-1022), errs from ‖x − q‖² by at most
+    (d + 3)·v·(a + b)² + 8dν <= (d + 3)·2**-52·B + 8dν, as does
+    database_quality's Σ(x_i − q_i)². A row y among its m nearest is in the
+    table (half_norms cuts no such row) and no farther by it than some row
+    z among the m of smallest computed h. √max(·, 0) rounded keeps that
+    order up to a factor 1 + 2**-50, so exact h(y) <= exact h(z) +
+    (d + 7)·2**-52·B + 8dν <= h(z) + 2**-17·u·B + η, and computed h(y)
+    exceeds the m-th smallest computed h by at most 2E + 2**-17·u·B + η.
+    Rounding the threshold (m-th smallest + tol, at most about B) to
+    float32 once costs u·B(1 + 2**-13) + 2η more. So tol = (d + 12)·u·B +
+    32dη covers every term with room to spare.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if index.table is None or len(queries) == 0:
@@ -564,16 +551,27 @@ def database_quality(db: Database, clean) -> float:
     Euclidean distance to any database patch, normalized by sqrt(d); return
     the mean over i. Zero iff every clean patch appears in the database.
     The screen (m = 1) narrows each patch to candidate rows that hold its
-    nearest, and cdist measures the distances to them exactly.
+    nearest, measured by row differences: the search's ‖x‖² − 2x·q + ‖q‖²
+    would lose them for rows far from the origin.
     """
     clean = as_image(clean)
     h, w = clean.shape
     dense = extract_patches(clean, plan_grid(w, h, db.patch_size, 1), db.patch_size)
+    _sq_norms(dense)  # rejects patches whose differences could overflow
     index = _screen_of(db, 1)
     nearest = np.empty(len(dense))
     for start in range(0, len(dense), SCREEN_BLOCK):
         block = dense[start : start + SCREEN_BLOCK]
         for i, rows in enumerate(screen(index, block), start):
             candidates = db.patches if rows is None else db.patches[rows]
-            nearest[i] = cdist(dense[i][None, :], candidates).min()
+            nearest[i] = _nearest(candidates, dense[i])
     return nearest.sum() / (len(dense) * np.sqrt(db.patches.shape[1]))
+
+
+def _nearest(rows: np.ndarray, q: np.ndarray) -> float:
+    """min ‖x − q‖ over rows, from row differences, _CHUNK_ROWS rows at a time."""
+    best = np.inf
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        gap = rows[start : start + _CHUNK_ROWS] - q
+        best = min(best, np.vecdot(gap, gap).min())
+    return float(np.sqrt(best))

@@ -228,7 +228,7 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
                 pilot = extract_patch(pilot_image, locs[i], p)
             if cfg.rule == "oracle":
                 truth = extract_patch(clean, locs[i], p)
-            sub = db if cand is None else dbmod.Database(db.patches[cand], p)
+            sub = db if cand is None else db.take(cand)
             estimates.append(denoise_patch(q, sub, cfg, pilot=pilot, truth=truth))
         return estimates
 

@@ -3,10 +3,15 @@ two `verify` runs that the CLI, battery and determinism tests all read."""
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import patchdenoise
 from patchdenoise import build_database, synthetic
 from patchdenoise.cli import main
 
@@ -50,3 +55,19 @@ def verify_runs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("verify")
     return _verify_cli(tmp / "default.json"), _verify_cli(tmp / "seed0.json",
                                                           "--seed", "0")
+
+
+@pytest.fixture()
+def fresh_python():
+    """Run a script in a new interpreter that imports this patchdenoise, with
+    extra environment variables; returns its stdout. A nonzero exit fails."""
+    src = str(Path(patchdenoise.__file__).resolve().parent.parent)
+
+    def run(script, *args, **env):
+        env = {**os.environ, **env}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    return run

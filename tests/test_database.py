@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from patchdenoise import database
 from patchdenoise.database import (
@@ -330,6 +330,20 @@ class TestScreen:
 
     @settings(max_examples=200, deadline=None)
     @given(_screen_cases())
+    @example(_FLOAT32_REORDERS)
+    @example(_SUBNORMAL_SCORES)
+    def test_kept_rows_hold_the_reference_first_m(self, case):
+        # The reference is the float64 search distance over the whole
+        # database; near-ties there must not push one of its first m out.
+        db, q, _ = case
+        distances = database._query_distances(db, q)
+        for m in range(1, len(db)):
+            (rows,) = screen(screen_index(db, m), [q])
+            if rows is not None:
+                assert set(k_smallest(distances, m)) <= set(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_screen_cases())
     def test_duplicate_cut_needs_m_identical_rows_below(self, case):
         db, _, _ = case
         P = db.patches
@@ -339,7 +353,7 @@ class TestScreen:
                 assert np.sum(np.all(P[:i] == P[i], axis=1)) >= m
             kept = np.isfinite(norms)
             np.testing.assert_array_equal(
-                norms[kept], 0.5 * np.einsum("ij,ij->i", P[kept], P[kept]))
+                norms[kept], 0.5 * np.vecdot(P[kept], P[kept]))
 
     def test_duplicate_cut_keeps_the_first_m_copies(self, rng):
         row = np.round(10.0 * rng.standard_normal(16))
@@ -450,10 +464,30 @@ class TestKeptScreen:
         db = _random_db(rng, n=200)
         twin = Database(patches=db.patches, patch_size=4)
         database._screen_of(db, 10)
-        assert db == twin and repr(db) == repr(twin)
-        assert dataclasses.replace(db)._screen is None
+        assert repr(db) == repr(twin)
+        fresh = dataclasses.replace(db)
+        assert fresh._screen is None and fresh._norms is None
         with pytest.raises(TypeError):
             Database(db.patches, 4, None)
+
+    def test_databases_compare_by_identity(self):
+        # The generated field comparison put the arrays in a tuple, whose ==
+        # raised on equal but distinct arrays.
+        a = np.zeros((3, 4))
+        db = Database(a, 2)
+        assert db == db and db != Database(a.copy(), 2) and db != Database(a, 2)
+        assert len({db, db, Database(a, 2)}) == 2
+
+    def test_take_keeps_the_norms_of_a_searched_database(self, rng):
+        db = _random_db(rng, n=200)
+        rows = np.array([5, 3, 199])
+        assert db.take(rows)._norms is None
+        database._screen_of(db, 10)
+        sub = db.take(rows)
+        np.testing.assert_array_equal(sub.patches, db.patches[rows])
+        np.testing.assert_array_equal(sub._norms, np.vecdot(sub.patches, sub.patches))
+        with pytest.raises(ValueError, match="read-only"):
+            sub.patches[0, 0] = 0.0
 
     def test_concurrent_first_searches_build_once(self, rng, monkeypatch):
         db = _random_db(rng, n=2000)
@@ -475,6 +509,16 @@ class TestKeptScreen:
         finally:
             sys.setswitchinterval(interval)
         assert built == [10] and all(index is indexes[0] for index in indexes)
+
+    def test_rows_not_c_ordered_are_copied_first(self, rng):
+        # A dot product reads a strided row in another order than it reads
+        # the contiguous copies that take hands to each patch's search.
+        rows = np.asfortranarray(10.0 * rng.standard_normal((200, 16)))
+        db = Database(patches=rows, patch_size=4)
+        database._screen_of(db, 10)
+        assert db.patches is not rows and db.patches.flags.c_contiguous
+        np.testing.assert_array_equal(db.patches, rows)
+        np.testing.assert_array_equal(db._norms, np.vecdot(db.patches, db.patches))
 
     def test_built_rows_are_searched_in_place(self, rng):
         db = build_database([rng.random((20, 20)) * 255], 4, 1)
@@ -512,6 +556,57 @@ def _cross_similarity_with_cdist(db, q, m, k, tau):
     return pool[np.lexsort((pool, scores))[:k]], scores
 
 
+def _assert_selects_like_cdist(db, q, m, k, tau, selected, tol):
+    """selected ranks as the cdist reference does, except that candidates
+    whose reference distances or scores lie within tol may come in either
+    order; identical rows always come in index order."""
+    c = cdist(q[None, :], db.patches)[0]
+    pool, _ = database._candidate_pool(db, q, m, k)
+    assert c[pool].max() <= np.sort(c)[m - 1] + tol
+    scores = dict(zip(pool, cross_similarity_scores(
+        c[pool], cdist(db.patches[pool], db.patches[pool]), tau)))
+    chosen = [scores[i] for i in selected]
+    assert len(set(selected)) == k and set(selected) <= set(pool)
+    assert all(b >= a - tol for a, b in zip(chosen, chosen[1:]))
+    left = [scores[i] for i in set(pool) - set(selected)]
+    assert min(left, default=np.inf) >= chosen[-1] - tol
+    order = list(selected)
+    for i, j in combinations(range(len(db)), 2):
+        if np.array_equal(db.patches[i], db.patches[j]):
+            assert j not in pool or i in pool
+            assert j not in order or order.index(i) < order.index(j)
+
+
+def _apart(values, rows, tol):
+    """Whether every two distinct rows' values differ by more than tol."""
+    order = np.argsort(values, kind="stable")
+    values, rows = values[order], rows[order]
+    # A run of values within tol of each other must hold one row value.
+    for i in range(1, len(values)):
+        j = i - 1
+        while j >= 0 and values[i] - values[j] <= tol:
+            if not np.array_equal(rows[i], rows[j]):
+                return False
+            j -= 1
+    return True
+
+
+def _gram_tol(db, q, m, tau):
+    # ‖x‖² − 2x·q + ‖q‖² errs by at most (d + 3)·2**-53·(‖x‖ + ‖q‖)² + 8dν,
+    # so a distance errs by at most the root of that. Allow twice that for
+    # a query distance, m times it (rows 2R apart) per pool sum, and 2**-40
+    # of each for the sums' own rounding.
+    d = db.patches.shape[1]
+    R = np.sqrt(np.vecdot(db.patches, db.patches).max())
+    far = np.sqrt(np.vecdot(q, q)) + R
+
+    def err(reach):
+        return np.sqrt((d + 3) * 2.0**-53 * reach**2 + 8 * d * 2.0**-1022)
+
+    return (2 * err(far) + 2.0**-40 * far
+            + tau * m * (2 * err(2 * R) + 2.0**-40 * 2 * R))
+
+
 # Small integers keep distances exact, so rows tie; 1 + 2**-52 is one ulp
 # from 1, for near-ties; signed zeros must fold as one row.
 _POOL_VALUES = st.sampled_from([0.0, -0.0, 1.0, 1 + 2.0**-52, -1.0, 2.0, 3.0,
@@ -524,8 +619,8 @@ def _pool_cases(draw):
 
     Reversed copies of some rows are as far from a q with equal coordinates
     as the rows, so distinct rows tie on c; a shared offset near 1e6 makes
-    the GEMM cancel the most; a scale of 2**-520 underflows its products,
-    and 2**57 puts some values past the guard (2**60) and some under it.
+    the Gram form cancel the most; a scale of 2**-520 underflows its
+    products, and 2**57 makes its squares large.
     """
     d = 4
     vector = st.lists(_POOL_VALUES, min_size=d, max_size=d)
@@ -550,85 +645,160 @@ def _pool_cases(draw):
     return Database(patches=patches, patch_size=2), q, m, k, tau
 
 
+@st.composite
+def _integer_cases(draw):
+    """(db, q, pilot, m, k, tau) on small integers, many rows repeated.
+
+    Every product and sum of the search is exact in float64, with or
+    without the offset, so its distances are cdist's bit for bit.
+    """
+    d = 4
+    vector = st.lists(st.integers(-4, 4).map(float), min_size=d, max_size=d)
+    base = draw(st.lists(vector, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=24))
+    offset = draw(st.sampled_from([0.0, 1000.0]))
+    patches = np.array([base[i] for i in picks]) + offset
+    q, pilot = np.array(draw(vector)) + offset, np.array(draw(vector)) + offset
+    m = draw(st.integers(1, len(patches)))
+    k = draw(st.integers(1, m))
+    tau = draw(st.sampled_from([0.0, 1 / 3, 1.0]))
+    return Database(patches=patches, patch_size=2), q, pilot, m, k, tau
+
+
 def _pool_case(rows, q, m, k, tau):
     db = Database(patches=np.array(rows, dtype=float), patch_size=2)
     return db, np.array(q, dtype=float), m, k, tau
 
 
 _A, _B, _C = [0.0, 0, 0, 0], [10.0, 0, 0, 0], [0.0, 20, 0, 0]
-# Each case and the path it must take: "gemm" for the certified sums,
-# "pdist" for the pair matrix.
-_PATH_CASES = {
-    # Twins fold into three rows with well-separated scores.
+# Each case and the group of each pool row (pool order) that it must fold to.
+_FOLD_CASES = {
+    # Twins fold into three rows.
     "twins": (_pool_case([_A, _B, _A, _C, _A, _B, _A, _C, _A], [1, 1, 0, 0],
-                         9, 6, 1 / 400), "gemm"),
+                         9, 6, 1 / 400), [0, 0, 0, 0, 0, 1, 1, 2, 2]),
     # One row, signed zeros included: every score ties, ranked by index.
     "all_zero": (_pool_case([[0.0, -0.0, 0, 0], [-0.0, 0, 0, 0]] * 3,
-                            [1, 1, 1, 1], 6, 3, 1.0), "gemm"),
-    # Query distances one ulp apart: no bound can separate the scores.
+                            [1, 1, 1, 1], 6, 3, 1.0), [0] * 6),
+    # Query distances one ulp apart.
     "near_tie": (_pool_case([[1, 0, 0, 0], [0, 1 + 2.0**-52, 0, 0]],
-                            [0, 0, 0, 0], 2, 1, 1 / 400), "pdist"),
-    # Distinct rows at equal distance from q fail the twin check; folded
-    # as twins, row 1 would take row 0's larger sum and lose to row 2.
+                            [0, 0, 0, 0], 2, 1, 1 / 400), [0, 1]),
+    # Distinct rows at equal distance from q are not twins; folded as
+    # twins, row 1 would take row 0's larger sum and lose to row 2.
     "equidistant": (_pool_case([[0, 1, 0, 0], [1, 0, 0, 0], [1.5, 0, 0, 0]],
-                               [0, 0, 0, 0], 3, 2, 1.0), "pdist"),
-    # A value at the guard.
-    "guard": (_pool_case(2.0**60 * np.eye(4)[:3], [0, 0, 0, 0], 3, 2, 1 / 400),
-              "pdist"),
+                               [0, 0, 0, 0], 3, 2, 1.0), [0, 1, 2]),
+    # The same, far from the origin.
+    "equidistant_large": (_pool_case(2.0**60 * np.eye(4)[:3], [0, 0, 0, 0],
+                                     3, 2, 1 / 400), [0, 1, 2]),
 }
 
 
 class TestCrossSimilarityRefinement:
     @settings(max_examples=400, deadline=None)
     @given(_pool_cases())
-    @example(_PATH_CASES["near_tie"][0])
-    @example(_PATH_CASES["equidistant"][0])
-    @example(_PATH_CASES["guard"][0])
-    def test_matches_cdist_reference_on_every_pool(self, case):
+    @example(_FOLD_CASES["near_tie"][0])
+    @example(_FOLD_CASES["equidistant"][0])
+    @example(_FOLD_CASES["equidistant_large"][0])
+    def test_ranks_like_the_cdist_reference_on_every_pool(self, case):
         db, q, m, k, tau = case
-        expected, _ = _cross_similarity_with_cdist(db, q, m, k, tau)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             selected = refine_cross_similarity(db, q, m, k, tau)
-        np.testing.assert_array_equal(selected, expected)
+        tol = _gram_tol(db, q, m, tau)
+        _assert_selects_like_cdist(db, q, m, k, tau, selected, tol)
+        # Where distinct rows lie more than tol apart in query distance and
+        # in score, rounding cannot reorder them: the selection is cdist's.
+        expected, scores = _cross_similarity_with_cdist(db, q, m, k, tau)
+        c = cdist(q[None, :], db.patches)[0]
+        pool = np.argsort(c, kind="stable")[:m]
+        if (_apart(c, db.patches, tol)
+                and _apart(scores, db.patches[pool], tol)):
+            np.testing.assert_array_equal(selected, expected)
 
-    @pytest.mark.parametrize("name", _PATH_CASES)
-    def test_each_case_takes_its_path_and_scores_once(self, monkeypatch, name):
-        (db, q, m, k, tau), path = _PATH_CASES[name]
+    @settings(max_examples=300, deadline=None)
+    @given(_integer_cases())
+    @example(_FOLD_CASES["equidistant"][0][:2] + (np.zeros(4), 3, 2, 1.0))
+    def test_integer_rows_select_as_cdist_does(self, case):
+        db, q, pilot, m, k, tau = case
+        c = cdist(q[None, :], db.patches)[0]
+        np.testing.assert_array_equal(knn(db, q, k), np.argsort(c, kind="stable")[:k])
+        pool = np.argsort(c, kind="stable")[:m]
+        e = cdist(pilot[None, :], db.patches[pool])[0]
+        expected = pool[np.lexsort((pool, first_pass_scores(c[pool], e, tau)))[:k]]
+        np.testing.assert_array_equal(refine_first_pass(db, q, pilot, m, k, tau),
+                                      expected)
+        # The pool sums add the same exact distances in another order.
+        _, scores = _cross_similarity_with_cdist(db, q, m, k, tau)
+        _assert_selects_like_cdist(db, q, m, k, tau,
+                                   refine_cross_similarity(db, q, m, k, tau),
+                                   2.0**-40 * scores.max())
+
+    @pytest.mark.parametrize("name", _FOLD_CASES)
+    def test_each_case_folds_by_value_and_scores_once(self, monkeypatch, name):
+        (db, q, m, k, tau), groups = _FOLD_CASES[name]
         expected, _ = _cross_similarity_with_cdist(db, q, m, k, tau)
-        calls = []
-
-        def spy(name, fn):
-            def wrapped(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapped
-
-        monkeypatch.setattr(database, "pdist", spy("pdist", database.pdist))
+        folds, calls = [], []
+        fold, scores = database._fold, database.cross_similarity_scores
+        monkeypatch.setattr(database, "_fold",
+                            lambda *args: folds.append(fold(*args)) or folds[-1])
         monkeypatch.setattr(database, "cross_similarity_scores",
-                            spy("scores", database.cross_similarity_scores))
+                            lambda *args: calls.append(args) or scores(*args))
         np.testing.assert_array_equal(refine_cross_similarity(db, q, m, k, tau),
                                       expected)
-        assert calls == (["pdist", "scores"] if path == "pdist" else ["scores"])
+        ((x, group),) = folds
+        np.testing.assert_array_equal(group, groups)
+        pool, _ = database._candidate_pool(db, q, m, k)
+        np.testing.assert_array_equal(x[group], db.patches[pool])
+        assert len(calls) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pool_cases())
+    @example(_FOLD_CASES["equidistant"][0])
+    def test_fold_groups_identical_rows_in_order_of_appearance(self, case):
+        db, q, m, k, _ = case
+        pool, c = database._candidate_pool(db, q, m, k)
+        x, group = database._fold(db.patches[pool], c)
+        np.testing.assert_array_equal(x[group], db.patches[pool])
+        firsts = np.sort(np.unique(group, return_index=True)[1])
+        np.testing.assert_array_equal(group[firsts], np.arange(len(x)))
+        assert len({tuple(row) for row in x}) == len(x)  # -0.0 == 0.0 here
 
     @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
-    def test_huge_or_non_finite_pools_take_pdist_without_warnings(self, rng, bad):
-        # cdist(x, x) is NaN for an infinite x; pdist leaves the diagonal 0.
+    def test_huge_or_non_finite_values_raise_without_warnings(self, rng, bad):
+        # A squared norm of 2**1020 or more could overflow a distance.
         db = _random_db(rng, n=30)
-        db.patches[4, 1] = bad
         q = db.patches[7].copy()
-        pool, c = database._candidate_pool(db, q, 30, 5)
-        B = squareform(pdist(db.patches[pool]))
-        expected = pool[np.lexsort((pool, c + 0.5 * B.sum(axis=0)))[:5]]
+        bad_q, rows = q.copy(), db.patches.copy()
+        bad_q[1] = rows[4, 1] = bad
+        searches = [lambda db, v: knn(db, v, 5),
+                    lambda db, v: refine_first_pass(db, v, q, 30, 5, 0.5),
+                    lambda db, v: refine_first_pass(db, q, v, 30, 5, 0.5),
+                    lambda db, v: refine_cross_similarity(db, v, 30, 5, 0.5)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert database._certified_sums(db.patches[pool], c, 0.5, 5) is None
-            selected = refine_cross_similarity(db, q, 30, 5, 0.5)
-        np.testing.assert_array_equal(selected, expected)
+            for search in searches:
+                with pytest.raises(ValueError, match="finite"):
+                    search(Database(rows, 4), q)
+                with pytest.raises(ValueError, match="finite"):
+                    search(db, bad_q)
 
-    def test_pool_matrix_matches_cdist_bitwise(self, rng):
-        X = 100.0 * rng.standard_normal((200, 64))
-        np.testing.assert_array_equal(squareform(pdist(X)), cdist(X, X))
+    def test_pool_sums_match_cdist(self, rng):
+        # Rows along (3, 4, 0, ...): every pair distance is an integer, so
+        # the folded sums are exact and equal cdist's bit for bit. Rows s and
+        # -s are equidistant from 0 but distinct, so the pool folds by value.
+        steps = rng.integers(-20, 21, 200).astype(float)
+        patches = np.zeros((200, 64))
+        patches[:, 0], patches[:, 1] = 3 * steps, 4 * steps
+        pool, c = database._candidate_pool(Database(patches, 8), np.zeros(64), 200, 1)
+        rows = patches[pool]
+        np.testing.assert_array_equal(database._pool_sums(rows, c),
+                                      cdist(rows, rows).sum(axis=1))
+        # On other integer rows the distances are cdist's, summed in
+        # another order.
+        db = Database(np.round(100.0 * rng.standard_normal((200, 64))), 8)
+        pool, c = database._candidate_pool(db, rng.standard_normal(64), 200, 1)
+        rows = db.patches[pool]
+        np.testing.assert_allclose(database._pool_sums(rows, c),
+                                   cdist(rows, rows).sum(axis=1), rtol=2.0**-44)
 
     def test_matches_cdist_reference_with_score_ties(self, rng):
         # Every row appears about four times, so duplicates tie on both the

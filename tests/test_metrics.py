@@ -1,15 +1,10 @@
 """PSNR and SSIM behavior, checked against direct formula evaluation."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import patchdenoise
 from patchdenoise.metrics import psnr, ssim
 
 
@@ -99,7 +94,7 @@ class TestSsim:
         noisy = ref + rng.normal(0, 30, size=ref.shape)
         assert -1.0 <= ssim(ref, noisy) <= 1.0
 
-    def test_scipy_signal_loads_only_for_ssim(self, tmp_path):
+    def test_scipy_signal_loads_only_for_ssim(self, tmp_path, fresh_python):
         # A fresh interpreter: this one has loaded scipy.signal already.
         script = """
 import json
@@ -121,14 +116,8 @@ np.save(sys.argv[1], np.stack([clean, out]))
 print(json.dumps({"loaded": loaded, "ssim": value,
                   "report_ssim": report.ssim_denoised}))
 """
-        src = str(Path(patchdenoise.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         arrays = tmp_path / "images.npy"
-        run = subprocess.run([sys.executable, "-c", script, str(arrays)],
-                             env=env, capture_output=True, text=True, check=True)
-        result = json.loads(run.stdout)
+        result = json.loads(fresh_python(script, str(arrays)))
         # Not after the import, not after denoising without a clean image.
         assert result["loaded"] == [False, False, True]
         assert result["report_ssim"] is None

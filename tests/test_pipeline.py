@@ -305,28 +305,57 @@ class TestDenoiseImage:
             fresh, _ = denoise_image(noisy, db, cfg, threads=threads)
             assert fresh.tobytes() == out.tobytes()
 
-    def test_certified_cross_similarity_changes_no_output(self, tiny_scene,
-                                                          monkeypatch):
-        # The blocky scene's pools hold many twins; most fold and certify,
-        # and the output must be the one the pdist pair matrix alone gives.
+    def test_pool_fold_by_runs_changes_no_output(self, tiny_scene, monkeypatch):
+        # The blocky scene's pools hold many twins, and most fold. Folding by
+        # runs of equal query distance must give what folding every pool by
+        # value, in order of first appearance, gives.
         clean, db = tiny_scene
         noisy = add_gaussian_noise(clean, 40.0, 15)
         cfg = _tiny_cfg(sigma=40.0, selection="cross_similarity",
                         rule="bm3d_pilot")
-        paths, certify = [], dbmod._certified_sums
+        folded, fold = [], dbmod._fold
 
-        def counting(*args):
-            sums = certify(*args)
-            paths.append(sums is None)
-            return sums
+        def counting(rows, c):
+            x, group = fold(rows, c)
+            folded.append(len(x) < len(rows))
+            return x, group
 
-        monkeypatch.setattr(dbmod, "_certified_sums", counting)
-        fast = [denoise_image(noisy, db, cfg, threads=t)[0] for t in (1, 2)]
-        assert paths.count(False) > paths.count(True)
-        monkeypatch.setattr(dbmod, "_certified_sums", lambda *args: None)
-        for threads, out in zip((1, 2), fast):
-            exact, _ = denoise_image(noisy, db, cfg, threads=threads)
-            assert exact.tobytes() == out.tobytes()
+        def by_value(rows, c):
+            first = {}
+            group = np.array([first.setdefault(tuple(row + 0.0), len(first))
+                              for row in rows])
+            heads = [list(group).index(g) for g in range(len(first))]
+            return rows[heads], group
+
+        monkeypatch.setattr(dbmod, "_fold", counting)
+        runs = [denoise_image(noisy, db, cfg, threads=t)[0] for t in (1, 2)]
+        assert folded.count(True) > folded.count(False)
+        monkeypatch.setattr(dbmod, "_fold", by_value)
+        for threads, out in zip((1, 2), runs):
+            values, _ = denoise_image(noisy, db, cfg, threads=threads)
+            assert values.tobytes() == out.tobytes()
+
+    def test_output_is_the_same_at_one_and_two_blas_threads(self, fresh_python):
+        # The BLAS thread count is read when numpy loads, so each count gets
+        # a fresh interpreter; both selections that rank by distance run.
+        script = """
+import hashlib, sys
+import numpy as np
+import patchdenoise as pd
+rng = np.random.default_rng(5)
+clean = np.kron(rng.integers(0, 2, (8, 8)) * 200.0 + 25.0, np.ones((4, 4)))
+page = np.kron(rng.integers(0, 2, (8, 8)) * 200.0 + 25.0, np.ones((4, 4)))
+db = pd.build_database([clean, page], 4, 1)
+noisy = clean + 30.0 * rng.standard_normal(clean.shape)
+for selection in ("auto", "cross_similarity"):
+    cfg = pd.DenoiseConfig(sigma=30.0, patch_size=4, stride_pass1=3,
+                           stride_pass2=2, k=8, pool_size=64,
+                           selection=selection, rule="bm3d_pilot")
+    out, _ = pd.denoise_image(noisy, db, cfg, threads=2)
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+        one, two = (fresh_python(script, OPENBLAS_NUM_THREADS=str(n)) for n in (1, 2))
+        assert one == two and len(set(one.split())) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_database_rejected_before_any_patch(self, tiny_scene,
@@ -456,7 +485,8 @@ class TestScreenKeptWithDatabase:
         db.patches[0, 0] = db.patches[0, 0]  # writable before the first search
         denoise_image(clean, db, _tiny_cfg())
         index = dbmod._screen_of(db, 20)
-        for array in (db.patches, index.rows, index.table, index.norms):
+        for array in (db.patches, index.rows, index.table, index.norms,
+                      db._norms):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         copy = db.patches.copy()
