@@ -1,12 +1,9 @@
 """Targeted patch database: construction, search, and selection refinement.
 
-The database is an in-memory (n, d) matrix of clean reference patches.
-Queries are read-only; a built database is never mutated, and from its
-first screened search on its rows are read-only. A database whose rows are
-a view of another array (Database(patches=base[:], ...)) or are not
-C-ordered takes a private copy of them at that search, so a later write
-through base cannot leave the kept screen stale; build_database's own rows
-are never copied.
+The database is an in-memory (n, d) matrix of clean reference patches,
+fixed when the Database is built: its rows are C-ordered, read-only
+float64, so what is derived from them once (row norms, twin ids, the
+screen) never goes stale. Queries are read-only too.
 
 A search distance is ‖x − q‖ = √max(‖x‖² − 2x·q + ‖q‖², 0) in float64, from
 one BLAS dot product per row (np.vecdot), which reads a contiguous row the
@@ -19,6 +16,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -52,39 +50,64 @@ _CACHE_MAGIC = b"TDBC\x01\n"
 class Database:
     """Clean reference patches.
 
-    patches: (n_total, d) float64, one row per patch, d = patch_size**2.
+    patches: (n_total, d), one row per patch, d = patch_size**2, fixed at
+    construction as a C-ordered, read-only float64 array. The input is
+    copied unless it already is one and owns its data (as build_database's
+    and load_database_cache's rows do): a view is copied, so that a write
+    through its base cannot change the rows.
     Two databases compare equal only when they are the same object.
     _screen: the screen index of the last m searched, kept by _screen_of.
-    _norms: ‖x‖² of every row, kept once the rows are read-only.
     """
 
     patches: np.ndarray
     patch_size: int
     _screen: ScreenIndex | None = field(default=None, init=False, repr=False)
-    _norms: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.patch_size < 1:
             raise ValueError(f"patch_size must be >= 1, got {self.patch_size}")
-        if self.patches.ndim != 2 or len(self.patches) < 1:
+        rows = self.patches
+        if not (type(rows) is np.ndarray and rows.dtype == np.float64
+                and rows.base is None and rows.flags.c_contiguous):
+            rows = np.array(rows, dtype=np.float64, order="C")
+            object.__setattr__(self, "patches", rows)
+        if rows.ndim != 2 or len(rows) < 1:
             raise ValueError("database needs at least one patch")
-        if self.patches.shape[1] != self.patch_size**2:
+        if rows.shape[1] != self.patch_size**2:
             raise ValueError(
-                f"patch dimension {self.patches.shape[1]} != patch_size**2 "
+                f"patch dimension {rows.shape[1]} != patch_size**2 "
                 f"({self.patch_size}**2)"
             )
+        rows.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.patches)
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """‖x‖² of each row, read-only. ValueError unless every row is finite
+        with a squared norm below 2**1020."""
+        return _read_only(_sq_norms(self.patches))
+
+    @cached_property
+    def twins(self) -> np.ndarray:
+        """Each row's twin id, read-only: the lowest index of the rows
+        identical to it (-0.0 == 0.0); a database made by take keeps those
+        of the one it was taken from. Rejects the rows norms rejects."""
+        self.norms  # raises on NaN, which equals no row, itself included
+        return _read_only(_twin_ids(self.patches))
+
     def take(self, rows) -> Database:
-        """The database of the given rows; it keeps their norms if this one
-        keeps its own (then its rows are read-only)."""
+        """The database of the given rows, with their norms and twin ids."""
         sub = Database(self.patches[rows], self.patch_size)
-        if self._norms is not None:
-            sub.patches.flags.writeable = False
-            object.__setattr__(sub, "_norms", self._norms[rows])
+        vars(sub).update(norms=_read_only(self.norms[rows]),
+                         twins=_read_only(self.twins[rows]))
         return sub
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_database(images, patch_size: int, stride: int) -> Database:
@@ -123,10 +146,9 @@ def save_database_cache(db: Database, path) -> None:
     The header and the patch buffer are written one after the other, so the
     payload is never copied into a bytes object.
     """
-    patches = np.ascontiguousarray(db.patches, dtype="<f8")
     with open(path, "wb") as out:
         out.write(_CACHE_MAGIC + struct.pack("<IQ", db.patch_size, len(db)))
-        out.write(patches.data)
+        out.write(db.patches.astype("<f8", copy=False).data)
 
 
 def load_database_cache(path) -> Database:
@@ -174,12 +196,6 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _row_norms(db: Database) -> np.ndarray:
-    if db._norms is None:
-        return _sq_norms(np.asarray(db.patches, dtype=np.float64))
-    return db._norms
-
-
 def _query_distances(db: Database, q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (db.patches.shape[1],):
@@ -191,7 +207,7 @@ def _query_distances(db: Database, q) -> np.ndarray:
     qq = _sq_norms(q)
     dist = np.vecdot(db.patches, q)
     dist *= -2.0
-    dist += _row_norms(db)
+    dist += db.norms
     dist += qq
     np.maximum(dist, 0.0, out=dist)
     return np.sqrt(dist, out=dist)
@@ -252,21 +268,22 @@ def refine_cross_similarity(
     """
     _check_tau(tau)
     pool, c = _candidate_pool(db, q, pool_size, k)
-    scores = cross_similarity_scores(c, _pool_sums(db.patches[pool], c)[None, :], tau)
+    scores = cross_similarity_scores(c, _pool_sums(db, pool)[None, :], tau)
     # Score ties break by lower database index, not by pool position.
     return pool[np.lexsort((pool, scores))[:k]]
 
 
-def _pool_sums(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _pool_sums(db: Database, pool: np.ndarray) -> np.ndarray:
     """Each pool row's summed distance to every pool row, as an (m,) array.
 
-    The pool is folded (_fold) into its distinct rows x_i with
-    multiplicities w_i. One GEMM G = x xᵀ gives the pair distances
+    The pool is folded by twin id (_twin_groups) into its distinct rows x_i
+    with multiplicities w_i. One GEMM G = x xᵀ gives the pair distances
     D_ij = √max(n_i + n_j − 2G_ij, 0), n = diag(G), so D_ii = 0 exactly,
     and each distinct row's sum S_i = Σ_j w_j D_ij is one dot product.
     Twins share one S_i, so they tie and break the tie by index.
     """
-    x, group = _fold(rows, c)
+    heads, group = _twin_groups(db.twins[pool])
+    x = db.patches[pool[heads]]
     dist = x @ x.T
     norms = dist.diagonal().copy()
     dist *= -2.0
@@ -276,25 +293,13 @@ def _pool_sums(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.vecdot(dist, np.bincount(group).astype(np.float64))[group]
 
 
-def _fold(rows: np.ndarray, c: np.ndarray):
-    """The pool's distinct rows (-0.0 == 0.0) in order of first appearance,
-    and the row of that array each pool row equals.
-
-    c are the rows' query distances, ascending. Identical rows have equal c,
-    so the runs of equal c are the groups when each row of a run equals the
-    one before it; a run that holds distinct rows folds the pool by value.
-    The runs are checked first because that costs a third of the fastest
-    fold by value (a sort of the rows) and holds on most image pools.
-    """
-    same = np.flatnonzero(c[1:] == c[:-1]) + 1
-    if (rows[same] == rows[same - 1]).all():
-        head = np.ones(len(rows), dtype=bool)
-        head[same] = False
-        return rows[head], np.cumsum(head) - 1
-    first = {}
-    group = np.array([first.setdefault(row.tobytes(), len(first))
-                      for row in rows + 0.0])
-    return rows[np.unique(group, return_index=True)[1]], group
+def _twin_groups(ids: np.ndarray):
+    """The groups of equal ids, numbered in order of first appearance (the
+    order the pool sums add them in): each group's first position, and the
+    group of each position."""
+    _, first, group = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[group]
 
 
 def refine_first_pass(
@@ -342,38 +347,46 @@ def _row_keys(patches: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _repeated_rows(patches: np.ndarray, m: int) -> np.ndarray:
-    """Indices of the rows that have at least m identical rows at lower indices.
+def _twin_ids(patches: np.ndarray) -> np.ndarray:
+    """Each row's lowest index among the rows identical to it (-0.0 == 0.0).
 
-    Rows are grouped by _row_keys, and neighbours in (key, index) order are
-    compared value by value, so a hash collision can only end a run of
-    identical rows early: a row is never reported without m true copies
-    before it.
+    Rows are sorted by (_row_keys, index) once, and each is compared value by
+    value with the head of its run of equal keys. Rows equal to it take the
+    head's index; the rest, put in the run by a hash collision, go round again
+    on their own, in the same order. Twins share a key and settle together, in
+    the round where one of them heads the run: the lowest of their indices.
+    Every round settles its run heads, so the loop ends even on NaN rows.
     """
     keys = _row_keys(patches)
+    ids = np.arange(len(patches))
     order = np.argsort(keys, kind="stable")
-    same = keys[order[1:]] == keys[order[:-1]]
-    pairs = np.flatnonzero(same)
-    for start in range(0, len(pairs), _CHUNK_ROWS):
-        at = pairs[start : start + _CHUNK_ROWS]
-        same[at] = np.all(patches[order[at]] == patches[order[at + 1]], axis=1)
-    pos = np.arange(len(keys))
-    run_start = np.maximum.accumulate(np.where(np.r_[True, ~same], pos, 0))
-    return order[pos - run_start >= m]
+    while len(order):
+        runs = keys[order]
+        head = order[np.searchsorted(runs, runs)]
+        tail = np.flatnonzero(head != order)
+        same = np.empty(len(tail), dtype=bool)
+        for start in range(0, len(tail), _CHUNK_ROWS):
+            at = tail[start : start + _CHUNK_ROWS]
+            same[start : start + len(at)] = np.all(
+                patches[order[at]] == patches[head[at]], axis=1)
+        ids[order[tail[same]]] = head[tail[same]]
+        order = order[tail[~same]]
+    return ids
 
 
 def half_norms(db: Database, m: int) -> np.ndarray:
     """½‖x‖² per database row (float64), the row term of screen's ranking.
 
-    A row with m identical rows at lower indices gets inf: the search gives
-    identical rows identical distances and ties go to the lower index, so
-    such a row is never among a query's m nearest, and screen_index leaves
-    it out of the float32 table. Rejects a database with a non-finite value
-    (or a squared norm of 2**1020 or more) with ValueError.
+    A row with m twins (db.twins) at lower indices gets inf: the search
+    gives identical rows identical distances and ties go to the lower
+    index, so such a row is never among a query's m nearest, and
+    screen_index leaves it out of the float32 table. Rejects the rows that
+    db.norms rejects.
     """
-    norms = 0.5 * _row_norms(db)
-    if len(db) > m:
-        norms[_repeated_rows(np.asarray(db.patches, dtype=np.float64), m)] = np.inf
+    norms = 0.5 * db.norms
+    order = np.argsort(db.twins, kind="stable")  # twins together, by index
+    runs = db.twins[order]
+    norms[order[np.arange(len(runs)) - np.searchsorted(runs, runs) >= m]] = np.inf
     return norms
 
 
@@ -385,7 +398,7 @@ class ScreenIndex:
     table: those rows as one contiguous (d, r) float32 array, and norms:
     their half norms in float32; both are None when every query searches
     the whole database. radius: R, the largest row norm. m: the number of
-    nearest rows every query's candidates must hold.
+    nearest rows every query's candidates must hold (all r when r < m).
     """
 
     rows: np.ndarray
@@ -396,27 +409,29 @@ class ScreenIndex:
 
 
 def screen_index(db: Database, m: int) -> ScreenIndex:
-    """The screen of db for each query's m nearest rows, built afresh.
+    """The screen of db for each query's m nearest rows, built afresh; its
+    arrays are read-only.
 
     The rows left by half_norms (which also rejects a non-finite database)
     are gathered into the float32 table _CHUNK_ROWS at a time, so they are
-    never all copied in float64 at once. No table is built when the database
-    has no more than m rows, when R reaches _GUARD (no value outside
-    float32 range is ever cast), or when d exceeds _MAX_DIM: screen then
-    returns None, the whole database, for every query.
+    never all copied in float64 at once; with no more than m rows, none is
+    cut. No table is built when R reaches _GUARD (no value outside float32
+    range is ever cast) or when d exceeds _MAX_DIM: screen then returns
+    None, the whole database, for every query.
     """
     norms = half_norms(db, m)
-    rows = np.flatnonzero(np.isfinite(norms))
+    rows = _read_only(np.flatnonzero(np.isfinite(norms)))
     # Every cut (inf) row has a kept copy, so this is the largest row norm.
     radius = float(np.sqrt(2.0 * np.max(norms[rows])))
     d = db.patches.shape[1]
-    if len(db) <= m or not radius < _GUARD or d > _MAX_DIM:
+    if not radius < _GUARD or d > _MAX_DIM:
         return ScreenIndex(rows, None, None, radius, m)
     table = np.empty((d, len(rows)), dtype=np.float32)
     for start in range(0, len(rows), _CHUNK_ROWS):
         part = rows[start : start + _CHUNK_ROWS]
         table[:, start : start + len(part)] = db.patches[part].T
-    return ScreenIndex(rows, table, norms[rows].astype(np.float32), radius, m)
+    return ScreenIndex(rows, _read_only(table),
+                       _read_only(norms[rows].astype(np.float32)), radius, m)
 
 
 # Makes _screen_of's check and build one step for callers on other threads.
@@ -427,31 +442,14 @@ def _screen_of(db: Database, m: int) -> ScreenIndex:
     """db's screen index for m, built on first use and kept with db.
 
     The index is rebuilt only when m changes; callers fetch it before any
-    worker thread starts. Once it is built, db.patches and the index's
-    arrays are read-only, so a write raises ValueError instead of leaving
-    the kept table or row norms (db._norms) stale. Rows that are a view of
-    another array, which a write through that array would still change, or
-    not C-ordered (a dot product must read a row as it reads take's copies)
-    are first replaced by a private copy; a database rejected by
-    screen_index keeps its own rows. screen_index is the uncached builder.
+    worker thread starts. screen_index is the uncached builder.
     """
     with _SCREEN_LOCK:
         index = db._screen
         if index is None or index.m != m:
             del index  # so the old table is freed before the new one is built
             object.__setattr__(db, "_screen", None)
-            patches = db.patches
-            if patches.base is not None or not patches.flags.c_contiguous:
-                patches = patches.copy()
-            fresh = Database(patches, db.patch_size)
-            object.__setattr__(fresh, "_norms", _row_norms(fresh))
-            index = screen_index(fresh, m)
-            object.__setattr__(db, "patches", patches)
-            object.__setattr__(db, "_norms", fresh._norms)
-            for array in (db.patches, db._norms, index.rows, index.table,
-                          index.norms):
-                if array is not None:
-                    array.flags.writeable = False
+            index = screen_index(db, m)
             object.__setattr__(db, "_screen", index)
         return index
 
@@ -505,7 +503,7 @@ def screen(index: ScreenIndex, queries) -> list:
     queries = np.asarray(queries, dtype=np.float64)
     if index.table is None or len(queries) == 0:
         return [None] * len(queries)
-    d, m = len(index.table), index.m
+    d, m = len(index.table), min(index.m, len(index.rows))
     if queries.ndim != 2 or queries.shape[1] != d:
         raise ValueError(f"queries of shape {queries.shape} do not match "
                          f"the index's (n, {d})")

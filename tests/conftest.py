@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import patchdenoise
-from patchdenoise import build_database, synthetic
+from patchdenoise import build_database, database, synthetic
 from patchdenoise.cli import main
 
 SCENE_SEED = 7
@@ -39,6 +39,15 @@ def scene_db(corpus):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture()
+def screen_builds(monkeypatch):
+    """The m of every screen index built from here on, in order."""
+    built, build = [], database.screen_index
+    monkeypatch.setattr(database, "screen_index",
+                        lambda db, m: built.append(m) or build(db, m))
+    return built
 
 
 def _verify_cli(path, *flags):

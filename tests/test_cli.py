@@ -10,7 +10,7 @@ import pytest
 from patchdenoise import database as dbmod
 from patchdenoise import pipeline
 from patchdenoise.cli import _config, _resolve_threads, build_parser, main
-from patchdenoise.database import (build_database, database_quality,
+from patchdenoise.database import (Database, build_database, database_quality,
                                    load_database, save_database_cache)
 from patchdenoise.imaging import add_gaussian_noise, read_pgm, write_pgm
 from patchdenoise.pipeline import DenoiseConfig
@@ -214,10 +214,10 @@ class TestDenoiseCommand:
         from patchdenoise.database import save_database_cache, load_database
 
         tmp, _, noisy_path, db_dir = workspace
-        db = load_database(db_dir, 4, 1)
-        db.patches[0, 0] = np.nan
+        patches = load_database(db_dir, 4, 1).patches.copy()
+        patches[0, 0] = np.nan
         cache = tmp / "nan.cache"
-        save_database_cache(db, cache)
+        save_database_cache(Database(patches, 4), cache)
         code = main(_denoise_args(noisy_path, cache, tmp / "o.pgm", tmp / "r.json"))
         assert code == 2
         assert "nan.cache" in capsys.readouterr().err

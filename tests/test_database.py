@@ -167,8 +167,9 @@ class TestCacheRoundTrip:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_patches_rejected(self, tmp_path, rng, bad):
-        db = _random_db(rng)
-        db.patches[3, 5] = bad
+        patches = rng.standard_normal((50, 16))
+        patches[3, 5] = bad
+        db = Database(patches=patches, patch_size=4)
         path = tmp_path / "patches.cache"
         save_database_cache(db, path)
         with pytest.raises(ValueError, match="patches.cache.*non-finite"):
@@ -311,11 +312,15 @@ class TestScreen:
     def test_candidates_reproduce_every_search(self, case):
         db, q, pilot = case
         past_guard = np.abs(np.r_[db.patches.ravel(), q]).max() > _GUARD
-        for m in range(1, len(db) + 1):
+        for m in range(1, len(db) + 2):
             (rows,) = screen(screen_index(db, m), [q])
             # None: the whole database
-            assert (rows is None) == (m == len(db) or past_guard)
+            assert (rows is None) == past_guard
             if rows is None:
+                continue
+            if m >= len(db):  # no row can be cut, and every row is kept
+                np.testing.assert_array_equal(rows, np.arange(len(db)))
+            if m > len(db):
                 continue
             assert np.all(np.diff(rows) > 0)
             sub = Database(patches=db.patches[rows], patch_size=2)
@@ -344,13 +349,14 @@ class TestScreen:
 
     @settings(max_examples=200, deadline=None)
     @given(_screen_cases())
-    def test_duplicate_cut_needs_m_identical_rows_below(self, case):
+    def test_duplicate_cut_is_m_identical_rows_below(self, case):
         db, _, _ = case
         P = db.patches
+        below = np.array([np.sum(np.all(P[:i] == P[i], axis=1))
+                          for i in range(len(db))])
         for m in range(1, len(db) + 1):
             norms = half_norms(db, m)
-            for i in np.flatnonzero(np.isinf(norms)):
-                assert np.sum(np.all(P[:i] == P[i], axis=1)) >= m
+            np.testing.assert_array_equal(np.isinf(norms), below >= m)
             kept = np.isfinite(norms)
             np.testing.assert_array_equal(
                 norms[kept], 0.5 * np.vecdot(P[kept], P[kept]))
@@ -367,14 +373,14 @@ class TestScreen:
         np.testing.assert_array_equal(np.flatnonzero(np.isinf(norms)), [4, 5, 6, 7])
 
     def test_hash_collisions_never_cut_a_distinct_row(self, monkeypatch):
-        # Every key collides: only rows equal to their neighbour in index
-        # order still group, so the cut may shrink but never grows.
+        # Every key collides: the rows are compared by value, so the cut is
+        # the one distinct keys give.
         monkeypatch.setattr(database, "_row_keys",
                             lambda patches: np.zeros(len(patches), np.uint64))
         a, b = np.zeros(4), np.ones(4)
         norms = half_norms(Database(patches=np.array([a, b, a, a, b]),
                                     patch_size=2), 1)
-        np.testing.assert_array_equal(np.flatnonzero(np.isinf(norms)), [3])
+        np.testing.assert_array_equal(np.flatnonzero(np.isinf(norms)), [2, 3, 4])
 
     def test_screen_keeps_about_m_rows(self, rng):
         db = _random_db(rng, n=2000)
@@ -403,10 +409,10 @@ class TestScreen:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     def test_non_finite_rows_rejected(self, rng, bad):
-        db = _random_db(rng)
-        db.patches[7, 2] = bad
+        patches = rng.standard_normal((50, 16))
+        patches[7, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            half_norms(db, 10)
+            half_norms(Database(patches=patches, patch_size=4), 10)
 
     def test_queries_must_match_the_table(self, rng):
         index = screen_index(_random_db(rng, n=100), 10)
@@ -432,17 +438,14 @@ class TestScreen:
 
 
 class TestKeptScreen:
-    def test_kept_for_the_last_m_only(self, rng, monkeypatch):
+    def test_kept_for_the_last_m_only(self, rng, screen_builds):
         db = _random_db(rng, n=200)
-        built, repeated = [], database._repeated_rows
-        monkeypatch.setattr(database, "_repeated_rows",
-                            lambda patches, m: built.append(m) or repeated(patches, m))
         first = database._screen_of(db, 10)
-        assert database._screen_of(db, 10) is first and built == [10]
+        assert database._screen_of(db, 10) is first and screen_builds == [10]
         other = database._screen_of(db, 20)
         assert other is not first and other.m == 20
         assert database._screen_of(db, 10) is not first
-        assert built == [10, 20, 10]
+        assert screen_builds == [10, 20, 10]
 
     def test_matches_the_uncached_builder(self, rng):
         db = _random_db(rng, n=200)
@@ -451,13 +454,13 @@ class TestKeptScreen:
         assert fresh is not screen_index(db, 10)
         for name in ("rows", "table", "norms"):
             np.testing.assert_array_equal(getattr(kept, name), getattr(fresh, name))
-            assert getattr(fresh, name).flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(fresh, name)[0] = 0
         assert (kept.radius, kept.m) == (fresh.radius, fresh.m)
 
-    def test_uncached_builder_keeps_rows_writable(self, rng):
+    def test_uncached_builder_keeps_no_index(self, rng):
         db = _random_db(rng, n=200)
         screen_index(db, 10)
-        db.patches[0, 0] = 1.0
         assert db._screen is None
 
     def test_slot_is_private_state(self, rng):
@@ -466,7 +469,8 @@ class TestKeptScreen:
         database._screen_of(db, 10)
         assert repr(db) == repr(twin)
         fresh = dataclasses.replace(db)
-        assert fresh._screen is None and fresh._norms is None
+        assert fresh._screen is None and fresh.patches is db.patches
+        assert not {"norms", "twins"} & set(vars(fresh))
         with pytest.raises(TypeError):
             Database(db.patches, 4, None)
 
@@ -478,22 +482,23 @@ class TestKeptScreen:
         assert db == db and db != Database(a.copy(), 2) and db != Database(a, 2)
         assert len({db, db, Database(a, 2)}) == 2
 
-    def test_take_keeps_the_norms_of_a_searched_database(self, rng):
-        db = _random_db(rng, n=200)
-        rows = np.array([5, 3, 199])
-        assert db.take(rows)._norms is None
-        database._screen_of(db, 10)
+    def test_take_hands_over_norms_and_twin_ids(self, rng):
+        patches = np.round(3.0 * rng.standard_normal((200, 16)))
+        patches[150:] = patches[:50]
+        db = Database(patches=patches, patch_size=4)
+        rows = np.array([5, 3, 199, 155, 149])
         sub = db.take(rows)
         np.testing.assert_array_equal(sub.patches, db.patches[rows])
-        np.testing.assert_array_equal(sub._norms, np.vecdot(sub.patches, sub.patches))
-        with pytest.raises(ValueError, match="read-only"):
-            sub.patches[0, 0] = 0.0
+        assert {"norms", "twins"} <= set(vars(sub))
+        np.testing.assert_array_equal(sub.norms, np.vecdot(sub.patches, sub.patches))
+        # The ids of the database taken from: rows 5 and 155 are twins.
+        np.testing.assert_array_equal(sub.twins, [5, 3, 49, 5, 149])
+        for array in (sub.patches, sub.norms, sub.twins):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
-    def test_concurrent_first_searches_build_once(self, rng, monkeypatch):
+    def test_concurrent_first_searches_build_once(self, rng, screen_builds):
         db = _random_db(rng, n=2000)
-        built, repeated = [], database._repeated_rows
-        monkeypatch.setattr(database, "_repeated_rows",
-                            lambda patches, m: built.append(m) or repeated(patches, m))
         barrier = threading.Barrier(8)
 
         def first_search():
@@ -508,23 +513,33 @@ class TestKeptScreen:
                 indexes = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert built == [10] and all(index is indexes[0] for index in indexes)
+        assert screen_builds == [10]
+        assert all(index is indexes[0] for index in indexes)
 
-    def test_rows_not_c_ordered_are_copied_first(self, rng):
+    @pytest.mark.parametrize("layout", ["F", "view", "float32", "uint8", "list"])
+    def test_rows_are_fixed_at_construction(self, rng, layout):
         # A dot product reads a strided row in another order than it reads
-        # the contiguous copies that take hands to each patch's search.
-        rows = np.asfortranarray(10.0 * rng.standard_normal((200, 16)))
+        # the contiguous copies that take hands to each patch's search, and
+        # a write through a view's base would change the rows.
+        values = np.round(100.0 * rng.random((200, 16)))
+        rows = {"F": np.asfortranarray(values), "view": values[:],
+                "float32": values.astype(np.float32),
+                "uint8": values.astype(np.uint8), "list": values.tolist()}[layout]
         db = Database(patches=rows, patch_size=4)
-        database._screen_of(db, 10)
-        assert db.patches is not rows and db.patches.flags.c_contiguous
-        np.testing.assert_array_equal(db.patches, rows)
-        np.testing.assert_array_equal(db._norms, np.vecdot(db.patches, db.patches))
+        assert db.patches is not rows and not np.shares_memory(db.patches, values)
+        assert db.patches.dtype == np.float64 and db.patches.flags.c_contiguous
+        assert db.patches.tobytes() == values.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            db.patches[0, 0] = 0.0
+        np.testing.assert_array_equal(db.norms, np.vecdot(values, values))
 
-    def test_built_rows_are_searched_in_place(self, rng):
+    def test_built_rows_are_kept_in_place(self, rng, tmp_path):
         db = build_database([rng.random((20, 20)) * 255], 4, 1)
-        rows = db.patches
-        database._screen_of(db, 10)
-        assert db.patches is rows and not rows.flags.writeable
+        path = tmp_path / "patches.cache"
+        save_database_cache(db, path)
+        for rows in (db.patches, load_database_cache(path).patches):
+            again = Database(patches=rows, patch_size=4)
+            assert again.patches is rows and not rows.flags.writeable
 
     def test_searched_database_still_saves(self, tmp_path, rng):
         db = _random_db(rng, n=200)
@@ -533,18 +548,69 @@ class TestKeptScreen:
         save_database_cache(db, path)
         assert load_database_cache(path).patches.tobytes() == db.patches.tobytes()
 
-    def test_database_quality_builds_once_and_freezes_rows(self, rng, monkeypatch):
+    def test_database_quality_builds_the_index_once(self, rng, screen_builds):
         img = rng.random((12, 12)) * 255
         db = _random_db(rng, n=200)
-        built, repeated = [], database._repeated_rows
-        monkeypatch.setattr(database, "_repeated_rows",
-                            lambda patches, m: built.append(m) or repeated(patches, m))
         values = [database_quality(db, img) for _ in range(2)]
         assert values[0] == values[1] == database_quality(
             Database(patches=db.patches.copy(), patch_size=4), img)
-        assert built == [1, 1]  # the database, then its fresh copy
-        with pytest.raises(ValueError, match="read-only"):
-            db.patches[0, 0] = 0.0
+        assert screen_builds == [1, 1]  # the database, then its fresh copy
+
+
+# Few values, so rows repeat; signed zeros must count as equal, and NaN
+# equals nothing.
+_TWIN_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan])
+
+
+@st.composite
+def _twin_cases(draw):
+    """(rows, buckets, pool): rows drawn from a few distinct rows, how many
+    distinct _row_keys the test leaves, so that distinct rows collide, and
+    the rows in another order."""
+    vector = st.lists(_TWIN_VALUES, min_size=4, max_size=4)
+    base = draw(st.lists(vector, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=30))
+    pool = np.array(draw(st.permutations(range(len(picks)))))
+    return np.array([base[i] for i in picks]), draw(st.integers(1, 3)), pool
+
+
+def _fold_by_value(rows):
+    """Each distinct row's first position and each row's group, numbered in
+    order of first appearance, from a dict keyed by the row's values."""
+    first = {}
+    group = np.array([first.setdefault(tuple(row + 0.0), len(first)) for row in rows])
+    return np.array([list(group).index(g) for g in range(len(first))]), group
+
+
+class TestTwins:
+    @settings(max_examples=300, deadline=None)
+    @given(_twin_cases())
+    @example((np.array([[0.0, -0.0, 1, 1], [np.nan, 1, 1, 1], [-0.0, 0.0, 1, 1],
+                        [np.nan, 1, 1, 1]]), 1, np.array([2, 0, 3, 1])))
+    def test_ids_name_the_lowest_identical_row(self, case):
+        rows, buckets, pool = case
+        keys = database._row_keys
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(database, "_row_keys",
+                          lambda patches: keys(patches) % np.uint64(buckets))
+            # NaN equals no row, itself included: each such row is its own.
+            ids = database._twin_ids(rows)
+            equal = np.all(rows[:, None] == rows[None, :], axis=2)
+            np.testing.assert_array_equal(ids[:, None] == ids[None, :],
+                                          equal | np.eye(len(rows), dtype=bool))
+            lowest = [np.flatnonzero(row)[0] if row.any() else i
+                      for i, row in enumerate(equal)]
+            np.testing.assert_array_equal(ids, lowest)
+            db = Database(patches=rows, patch_size=2)
+            if np.isnan(rows).any():
+                with pytest.raises(ValueError, match="finite"):
+                    db.twins
+                return
+            np.testing.assert_array_equal(db.twins, ids)
+            heads, group = database._twin_groups(db.twins[pool])
+            expected_heads, expected_group = _fold_by_value(rows[pool])
+            np.testing.assert_array_equal(heads, expected_heads)
+            np.testing.assert_array_equal(group, expected_group)
 
 
 def _cross_similarity_with_cdist(db, q, m, k, tau):
@@ -737,17 +803,17 @@ class TestCrossSimilarityRefinement:
         (db, q, m, k, tau), groups = _FOLD_CASES[name]
         expected, _ = _cross_similarity_with_cdist(db, q, m, k, tau)
         folds, calls = [], []
-        fold, scores = database._fold, database.cross_similarity_scores
-        monkeypatch.setattr(database, "_fold",
-                            lambda *args: folds.append(fold(*args)) or folds[-1])
+        fold, scores = database._twin_groups, database.cross_similarity_scores
+        monkeypatch.setattr(database, "_twin_groups",
+                            lambda ids: folds.append(fold(ids)) or folds[-1])
         monkeypatch.setattr(database, "cross_similarity_scores",
                             lambda *args: calls.append(args) or scores(*args))
         np.testing.assert_array_equal(refine_cross_similarity(db, q, m, k, tau),
                                       expected)
-        ((x, group),) = folds
+        ((heads, group),) = folds
         np.testing.assert_array_equal(group, groups)
         pool, _ = database._candidate_pool(db, q, m, k)
-        np.testing.assert_array_equal(x[group], db.patches[pool])
+        np.testing.assert_array_equal(db.patches[pool[heads]][group], db.patches[pool])
         assert len(calls) == 1
 
     @settings(max_examples=300, deadline=None)
@@ -755,12 +821,11 @@ class TestCrossSimilarityRefinement:
     @example(_FOLD_CASES["equidistant"][0])
     def test_fold_groups_identical_rows_in_order_of_appearance(self, case):
         db, q, m, k, _ = case
-        pool, c = database._candidate_pool(db, q, m, k)
-        x, group = database._fold(db.patches[pool], c)
-        np.testing.assert_array_equal(x[group], db.patches[pool])
-        firsts = np.sort(np.unique(group, return_index=True)[1])
-        np.testing.assert_array_equal(group[firsts], np.arange(len(x)))
-        assert len({tuple(row) for row in x}) == len(x)  # -0.0 == 0.0 here
+        pool, _ = database._candidate_pool(db, q, m, k)
+        heads, group = database._twin_groups(db.twins[pool])
+        expected_heads, expected_group = _fold_by_value(db.patches[pool])
+        np.testing.assert_array_equal(heads, expected_heads)
+        np.testing.assert_array_equal(group, expected_group)
 
     @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
     def test_huge_or_non_finite_values_raise_without_warnings(self, rng, bad):
@@ -788,16 +853,17 @@ class TestCrossSimilarityRefinement:
         steps = rng.integers(-20, 21, 200).astype(float)
         patches = np.zeros((200, 64))
         patches[:, 0], patches[:, 1] = 3 * steps, 4 * steps
-        pool, c = database._candidate_pool(Database(patches, 8), np.zeros(64), 200, 1)
+        db = Database(patches, 8)
+        pool, _ = database._candidate_pool(db, np.zeros(64), 200, 1)
         rows = patches[pool]
-        np.testing.assert_array_equal(database._pool_sums(rows, c),
+        np.testing.assert_array_equal(database._pool_sums(db, pool),
                                       cdist(rows, rows).sum(axis=1))
         # On other integer rows the distances are cdist's, summed in
         # another order.
         db = Database(np.round(100.0 * rng.standard_normal((200, 64))), 8)
-        pool, c = database._candidate_pool(db, rng.standard_normal(64), 200, 1)
+        pool, _ = database._candidate_pool(db, rng.standard_normal(64), 200, 1)
         rows = db.patches[pool]
-        np.testing.assert_allclose(database._pool_sums(rows, c),
+        np.testing.assert_allclose(database._pool_sums(db, pool),
                                    cdist(rows, rows).sum(axis=1), rtol=2.0**-44)
 
     def test_matches_cdist_reference_with_score_ties(self, rng):

@@ -19,6 +19,7 @@ from patchdenoise.pipeline import (
     run_sweep,
     sweep_to_csv,
 )
+from patchdenoise.synthetic import make_corpus
 
 
 def _tiny_cfg(**overrides):
@@ -305,35 +306,33 @@ class TestDenoiseImage:
             fresh, _ = denoise_image(noisy, db, cfg, threads=threads)
             assert fresh.tobytes() == out.tobytes()
 
-    def test_pool_fold_by_runs_changes_no_output(self, tiny_scene, monkeypatch):
-        # The blocky scene's pools hold many twins, and most fold. Folding by
-        # runs of equal query distance must give what folding every pool by
-        # value, in order of first appearance, gives.
+    def test_pool_fold_by_twin_id_is_the_fold_by_value(self, tiny_scene,
+                                                        monkeypatch):
+        # The blocky scene's pools hold many twins, and most fold. Each
+        # patch's candidates carry the whole database's twin ids (take), and
+        # folding by them must group a pool as folding it by value does, in
+        # order of first appearance, at 1 and 2 threads.
         clean, db = tiny_scene
         noisy = add_gaussian_noise(clean, 40.0, 15)
         cfg = _tiny_cfg(sigma=40.0, selection="cross_similarity",
                         rule="bm3d_pilot")
-        folded, fold = [], dbmod._fold
+        folded, sums = [], dbmod._pool_sums
 
-        def counting(rows, c):
-            x, group = fold(rows, c)
-            folded.append(len(x) < len(rows))
-            return x, group
-
-        def by_value(rows, c):
+        def by_value(sub, pool):
             first = {}
             group = np.array([first.setdefault(tuple(row + 0.0), len(first))
-                              for row in rows])
+                              for row in sub.patches[pool]])
             heads = [list(group).index(g) for g in range(len(first))]
-            return rows[heads], group
+            fold = dbmod._twin_groups(sub.twins[pool])
+            folded.append(len(heads) < len(pool))
+            np.testing.assert_array_equal(fold[0], heads)
+            np.testing.assert_array_equal(fold[1], group)
+            return sums(sub, pool)
 
-        monkeypatch.setattr(dbmod, "_fold", counting)
+        monkeypatch.setattr(dbmod, "_pool_sums", by_value)
         runs = [denoise_image(noisy, db, cfg, threads=t)[0] for t in (1, 2)]
         assert folded.count(True) > folded.count(False)
-        monkeypatch.setattr(dbmod, "_fold", by_value)
-        for threads, out in zip((1, 2), runs):
-            values, _ = denoise_image(noisy, db, cfg, threads=threads)
-            assert values.tobytes() == out.tobytes()
+        assert runs[0].tobytes() == runs[1].tobytes()
 
     def test_output_is_the_same_at_one_and_two_blas_threads(self, fresh_python):
         # The BLAS thread count is read when numpy loads, so each count gets
@@ -424,19 +423,6 @@ def _fresh_copy(db):
     return Database(patches=db.patches.copy(), patch_size=db.patch_size)
 
 
-@pytest.fixture()
-def screen_builds(monkeypatch):
-    """The m of every screen index built from here on, in order."""
-    built, half_norms = [], dbmod.half_norms
-
-    def counting(db, m):
-        built.append(m)
-        return half_norms(db, m)
-
-    monkeypatch.setattr(dbmod, "half_norms", counting)
-    return built
-
-
 class TestScreenKeptWithDatabase:
     def test_two_calls_build_the_index_once(self, tiny_scene, screen_builds):
         clean, db = tiny_scene
@@ -479,19 +465,53 @@ class TestScreenKeptWithDatabase:
             quality = dbmod.database_quality(db, clean)
             assert quality == dbmod.database_quality(_fresh_copy(db), clean)
 
-    def test_searched_rows_and_index_are_read_only(self, tiny_scene):
+    def test_rows_and_what_is_derived_from_them_are_read_only(self, tiny_scene):
         clean, db = tiny_scene
         db = _fresh_copy(db)
-        db.patches[0, 0] = db.patches[0, 0]  # writable before the first search
+        with pytest.raises(ValueError, match="read-only"):
+            db.patches[0, 0] = 0  # read-only before the first search
         denoise_image(clean, db, _tiny_cfg())
         index = dbmod._screen_of(db, 20)
         for array in (db.patches, index.rows, index.table, index.norms,
-                      db._norms):
+                      db.norms, db.twins):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         copy = db.patches.copy()
         copy[0, 0] = -1.0
         assert copy.flags.writeable and db.patches[0, 0] != -1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_rows_denoise_as_their_float64_values(self, dtype):
+        # Rows are converted at construction. Kept as they were, uint8 rows
+        # failed the pool sums' in-place float arithmetic, and float32 rows
+        # ran the pool GEMM in float32.
+        clean, pages = make_corpus(7, db_count=2, width=48, height=48)
+        rows = build_database(pages, 8, 4).patches.astype(dtype)
+        noisy = add_gaussian_noise(clean, 50.0, 1)
+        for selection, rule in (("auto", "bayes"),
+                                ("cross_similarity", "bm3d_pilot")):
+            cfg = DenoiseConfig(sigma=50.0, selection=selection, rule=rule)
+            out, _ = denoise_image(noisy, Database(rows, 8), cfg)
+            expected, _ = denoise_image(
+                noisy, Database(rows.astype(np.float64), 8), cfg)
+            assert out.tobytes() == expected.tobytes()
+
+    def test_database_of_at_most_m_rows_screens_to_every_row(self, tiny_scene,
+                                                            monkeypatch):
+        clean, db = tiny_scene
+        noisy = add_gaussian_noise(clean, 15.0, 8)
+        small = Database(patches=db.patches[:: len(db) // 30], patch_size=4)
+        for pool_size in (len(small), 40):
+            index = dbmod.screen_index(small, pool_size)
+            assert index.table is not None
+            for rows in dbmod.screen(index, small.patches[:5] + 1.0):
+                np.testing.assert_array_equal(rows, np.arange(len(small)))
+        cfg = _tiny_cfg(sigma=15.0, pool_size=len(small))
+        screened, _ = denoise_image(noisy, small, cfg)
+        monkeypatch.setattr(dbmod, "screen",
+                            lambda index, queries: [None] * len(queries))
+        whole, _ = denoise_image(noisy, _fresh_copy(small), cfg)
+        assert screened.tobytes() == whole.tobytes()
 
     def test_rows_viewing_another_array_are_copied_first(self, tiny_scene):
         clean, db = tiny_scene
@@ -505,17 +525,15 @@ class TestScreenKeptWithDatabase:
         assert second.tobytes() == fresh.tobytes() == first.tobytes()
         assert not np.shares_memory(view.patches, base)
 
-    def test_rejected_database_is_neither_kept_nor_frozen(self, tiny_scene):
+    def test_rejected_database_keeps_no_index(self, tiny_scene):
         clean, db = tiny_scene
-        db = _fresh_copy(db)
-        value = db.patches[5, 5]
-        db.patches[5, 5] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            denoise_image(clean, db, _tiny_cfg())
-        db.patches[5, 5] = value
-        out, _ = denoise_image(clean, db, _tiny_cfg())
-        fresh, _ = denoise_image(clean, _fresh_copy(db), _tiny_cfg())
-        assert out.tobytes() == fresh.tobytes()
+        patches = db.patches.copy()
+        patches[5, 5] = np.nan
+        bad = Database(patches=patches, patch_size=db.patch_size)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite"):
+                denoise_image(clean, bad, _tiny_cfg())
+            assert bad._screen is None and "norms" not in vars(bad)
 
 
 class TestReportSerialization:
