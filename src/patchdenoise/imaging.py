@@ -194,40 +194,42 @@ def extract_patch(img, loc, patch_size: int) -> np.ndarray:
     return as_image(img[r : r + patch_size, c : c + patch_size]).flatten()
 
 
-def extract_patches(img, locs, patch_size: int) -> np.ndarray:
-    """Extract many patches at once; returns an (N, patch_size**2) array."""
-    img = as_image(img)
+def _check_locs(locs, patch_size: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of locs, (N, 2) top-left corners of patches in h x w."""
     locs = np.asarray(locs, dtype=np.int64)
-    rows, cols = locs[:, 0], locs[:, 1]
-    h, w = img.shape
+    rows, cols = locs.T
     # Checked up front: fancy indexing would silently wrap a negative location.
     bad = (rows < 0) | (cols < 0) | (rows + patch_size > h) | (cols + patch_size > w)
     if bad.any():
         r, c = (int(v) for v in locs[np.argmax(bad)])
         raise ValueError(f"patch at {(r, c)} size {patch_size} exceeds image {h}x{w}")
+    return rows, cols
+
+
+def extract_patches(img, locs, patch_size: int) -> np.ndarray:
+    """Extract many patches at once; returns an (N, patch_size**2) array."""
+    img = as_image(img)
+    rows, cols = _check_locs(locs, patch_size, *img.shape)
     windows = np.lib.stride_tricks.sliding_window_view(img, (patch_size, patch_size))
-    return windows[rows, cols].reshape(len(locs), patch_size * patch_size)
+    return windows[rows, cols].reshape(len(rows), patch_size * patch_size)
 
 
-def aggregate(estimates, width: int, height: int) -> np.ndarray:
-    """Recombine (patch, loc) estimates by uniform per-pixel averaging.
+def aggregate(patches, locs, width: int, height: int) -> np.ndarray:
+    """Average the (N, p^2) patches at locs into a height x width image.
 
-    Every pixel must be covered by at least one estimate, otherwise a
-    CoverageError is raised.
+    The adjoint of extract_patches, one np.add.at that sums each pixel's
+    patches in order, over each pixel's count; CoverageError if a count is 0.
     """
-    acc = np.zeros((height, width), dtype=np.float64)
-    counts = np.zeros((height, width), dtype=np.float64)
-    for patch, loc in estimates:
-        patch = np.asarray(patch, dtype=np.float64)
-        side = int(round(np.sqrt(patch.size)))
-        if side * side != patch.size:
-            raise ValueError(f"patch length {patch.size} is not a perfect square")
-        r, c = int(loc[0]), int(loc[1])
-        if r < 0 or c < 0 or r + side > height or c + side > width:
-            raise ValueError(f"patch at {(r, c)} size {side} exceeds {height}x{width}")
-        acc[r : r + side, c : c + side] += patch.reshape(side, side)
-        counts[r : r + side, c : c + side] += 1.0
+    patches = np.asarray(patches, dtype=np.float64)
+    side = int(round(np.sqrt(patches.shape[-1]))) if patches.ndim else 0
+    if patches.shape != (len(locs), side * side):
+        raise ValueError(f"need {len(locs)} rows of p^2 values, got {patches.shape}")
+    rows, cols = _check_locs(locs, side, height, width)
+    acc, counts = np.zeros((height, width)), np.zeros((height, width))
+    for out, values in ((acc, patches.reshape(len(patches), side, side)), (counts, 1.0)):
+        windows = np.lib.stride_tricks.sliding_window_view(out, (side, side),
+                                                           writeable=True)
+        np.add.at(windows, (rows, cols), values)
     if np.any(counts == 0):
-        uncovered = int(np.sum(counts == 0))
-        raise CoverageError(f"{uncovered} pixels not covered by any estimate")
+        raise CoverageError(f"{np.sum(counts == 0)} pixels not covered by any estimate")
     return acc / counts

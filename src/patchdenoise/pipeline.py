@@ -217,11 +217,11 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
     h, w = noisy.shape
     p = cfg.patch_size
     locs = plan_grid(w, h, p, stride)
+    estimates = np.empty((len(locs), p * p))
 
-    def block(start):
+    def block(start):  # fills its own rows of estimates
         ix = range(start, min(start + dbmod.SCREEN_BLOCK, len(locs)))
         queries = [extract_patch(noisy, locs[i], p) for i in ix]
-        estimates = []
         for i, q, cand in zip(ix, queries, dbmod.screen(index, queries)):
             pilot = truth = None
             if pilot_image is not None:
@@ -229,17 +229,15 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
             if cfg.rule == "oracle":
                 truth = extract_patch(clean, locs[i], p)
             sub = db if cand is None else db.take(cand)
-            estimates.append(denoise_patch(q, sub, cfg, pilot=pilot, truth=truth))
-        return estimates
+            estimates[i] = denoise_patch(q, sub, cfg, pilot=pilot, truth=truth)
 
     starts = range(0, len(locs), dbmod.SCREEN_BLOCK)
     if threads <= 1:
-        blocks = map(block, starts)
+        list(map(block, starts))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(block, starts))
-    estimates = [est for part in blocks for est in part]
-    return aggregate(zip(estimates, locs), w, h)
+            list(pool.map(block, starts))  # re-raises a block's error
+    return aggregate(estimates, locs, w, h)
 
 
 def denoise_image(

@@ -199,30 +199,84 @@ class TestPatchExtraction:
             extract_patches(np.zeros((8, 12)), [(4, 8), loc], 4)
 
 
+def loop_aggregate(patches, locs, width, height):
+    """The per-patch reference: each patch added into its window in order."""
+    acc = np.zeros((height, width))
+    counts = np.zeros((height, width))
+    for patch, (r, c) in zip(patches, locs):
+        side = int(round(np.sqrt(patch.size)))
+        acc[r : r + side, c : c + side] += patch.reshape(side, side)
+        counts[r : r + side, c : c + side] += 1.0
+    return acc / counts
+
+
+# Sums of these round differently in another order: 1e16 + 1 == 1e16.
+ROUNDING = np.array([1e16, -1e16, 1.0, 0.5, 3.0, 0.0, -0.0])
+
+
+@st.composite
+def placed_patches(draw):
+    """(patches, locs, width, height): a plan_grid grid with some locations
+    repeated, shuffled, and values that expose the summation order."""
+    side = draw(st.integers(1, 6))
+    width, height = draw(st.integers(side, 14)), draw(st.integers(side, 14))
+    locs = plan_grid(width, height, side, draw(st.integers(1, side)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    locs = rng.permutation(np.concatenate([locs, rng.choice(locs, rng.integers(len(locs) + 1))]))
+    patches = rng.choice(ROUNDING, (len(locs), side * side))
+    return patches, locs, width, height
+
+
 class TestAggregate:
     def test_single_full_image_patch(self, rng):
         img = rng.random((8, 8))
-        out = aggregate([(img.ravel(), (0, 0))], 8, 8)
+        out = aggregate(img.reshape(1, 64), [(0, 0)], 8, 8)
         np.testing.assert_array_equal(out, img)
 
     def test_overlapping_constants_average(self):
-        a = np.full(16, 0.0)
-        b = np.full(16, 10.0)
-        out = aggregate([(a, (0, 0)), (b, (0, 2))], 6, 4)
+        patches = np.array([np.full(16, 0.0), np.full(16, 10.0)])
+        out = aggregate(patches, [(0, 0), (0, 2)], 6, 4)
         np.testing.assert_array_equal(out[:, :2], 0.0)
         np.testing.assert_array_equal(out[:, 2:4], 5.0)
         np.testing.assert_array_equal(out[:, 4:], 10.0)
 
     def test_identical_constant_patches(self):
-        patches = [(np.full(16, 4.0), (0, 0)), (np.full(16, 4.0), (0, 2))]
-        np.testing.assert_array_equal(aggregate(patches, 6, 4), 4.0)
+        patches = np.full((2, 16), 4.0)
+        np.testing.assert_array_equal(aggregate(patches, [(0, 0), (0, 2)], 6, 4), 4.0)
 
     def test_uncovered_pixel_raises(self):
         with pytest.raises(CoverageError):
-            aggregate([(np.zeros(16), (0, 0))], 8, 8)
+            aggregate(np.zeros((1, 16)), [(0, 0)], 8, 8)
 
     def test_reconstructs_image_from_grid(self, rng):
         img = rng.random((20, 26)) * 255
         locs = plan_grid(26, 20, 8, 6)
-        estimates = [(extract_patch(img, loc, 8), loc) for loc in locs]
-        np.testing.assert_allclose(aggregate(estimates, 26, 20), img, atol=1e-12)
+        patches = extract_patches(img, locs, 8)
+        np.testing.assert_allclose(aggregate(patches, locs, 26, 20), img, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(placed_patches())
+    def test_matches_the_per_patch_loop_bit_for_bit(self, case):
+        patches, locs, width, height = case
+        expected = loop_aggregate(patches, locs, width, height)
+        assert aggregate(patches, locs, width, height).tobytes() == expected.tobytes()
+
+    def test_rejects_patches_that_do_not_fit_locs(self):
+        locs = [(0, 0), (0, 2)]
+        with pytest.raises(ValueError, match=re.escape("need 2 rows of p^2 values, "
+                                                       "got (2, 15)")):
+            aggregate(np.zeros((2, 15)), locs, 6, 4)
+        with pytest.raises(ValueError, match=re.escape("got (3, 16)")):
+            aggregate(np.zeros((3, 16)), locs, 6, 4)
+        with pytest.raises(ValueError, match=re.escape("got (32,)")):
+            aggregate(np.zeros(32), locs, 6, 4)
+
+    @pytest.mark.parametrize("loc", [(-1, 0), (0, -2), (5, 0), (0, 9)])
+    def test_names_out_of_bounds_location_as_extract_patches_does(self, loc):
+        locs = [(4, 8), loc]
+        with pytest.raises(ValueError) as extracted:
+            extract_patches(np.zeros((8, 12)), locs, 4)
+        with pytest.raises(ValueError) as aggregated:
+            aggregate(np.zeros((2, 16)), locs, 12, 8)
+        assert str(aggregated.value) == str(extracted.value)
+        assert str(aggregated.value).startswith(f"patch at {loc} size 4")

@@ -271,14 +271,14 @@ class TestDenoiseImage:
 
             def one_pass(stride, pilot_image):
                 locs = plan_grid(32, 32, 4, stride)
-                estimates = []
-                for loc in locs:
+                estimates = np.empty((len(locs), 16))
+                for i, loc in enumerate(locs):
                     pilot = None
                     if pilot_image is not None:
                         pilot = extract_patch(pilot_image, loc, 4)
                     q = extract_patch(noisy, loc, 4)
-                    estimates.append(denoise_patch(q, db, cfg, pilot=pilot))
-                return aggregate(zip(estimates, locs), 32, 32)
+                    estimates[i] = denoise_patch(q, db, cfg, pilot=pilot)
+                return aggregate(estimates, locs, 32, 32)
 
             first = one_pass(cfg.stride_pass1, None)
             second = one_pass(cfg.stride_pass2, first)
