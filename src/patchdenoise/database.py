@@ -419,6 +419,8 @@ def screen_index(db: Database, m: int) -> ScreenIndex:
     range is ever cast) or when d exceeds _MAX_DIM: screen then returns
     None, the whole database, for every query.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     norms = half_norms(db, m)
     rows = _read_only(np.flatnonzero(np.isfinite(norms)))
     # Every cut (inf) row has a kept copy, so this is the largest row norm.
@@ -526,7 +528,7 @@ def compute_weights(q, selected, h: float) -> np.ndarray:
     minimum squared distance subtracted inside the exponent, which leaves
     the normalized result unchanged but avoids underflow when h is small.
     """
-    if h <= 0:
+    if not h > 0:  # NaN fails too; inf gives uniform weights
         raise ValueError(f"bandwidth h must be > 0, got {h}")
     selected = np.asarray(selected, dtype=np.float64)
     if selected.ndim != 2 or len(selected) < 1:

@@ -197,6 +197,10 @@ def extract_patch(img, loc, patch_size: int) -> np.ndarray:
 def _check_locs(locs, patch_size: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of locs, (N, 2) top-left corners of patches in h x w."""
     locs = np.asarray(locs, dtype=np.int64)
+    if locs.shape == (0,):  # an empty list
+        locs = locs.reshape(0, 2)
+    if locs.ndim != 2 or locs.shape[1] != 2:
+        raise ValueError(f"locs must be an (N, 2) array, got shape {locs.shape}")
     rows, cols = locs.T
     # Checked up front: fancy indexing would silently wrap a negative location.
     bad = (rows < 0) | (cols < 0) | (rows + patch_size > h) | (cols + patch_size > w)

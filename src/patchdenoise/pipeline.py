@@ -205,6 +205,11 @@ def denoise_patch(q, db, cfg: DenoiseConfig, pilot=None, truth=None) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+def _check_threads(threads) -> None:
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+
+
 def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
     """denoise_patch over the stride grid, piloted by pilot_image if given.
 
@@ -247,6 +252,7 @@ def denoise_image(
 
     The clean image is used only for metrics and for the 'oracle' rule.
     """
+    _check_threads(threads)
     noisy = as_image(noisy)
     if clean is not None:
         clean = as_image(clean)
@@ -301,6 +307,7 @@ def run_sweep(clean, db, cfg_base: DenoiseConfig, sigmas, rules,
     # Every cell's config is checked before the first cell is denoised.
     cells = [dataclasses.replace(cfg_base, sigma=float(sigma), rule=rule)
              for sigma in sigmas for rule in rules]
+    _check_threads(threads)
     rows = []
     for cfg in cells:
         noise_seed = cell_seed(seed, cfg.sigma, cfg.rule)

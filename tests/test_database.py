@@ -414,6 +414,11 @@ class TestScreen:
         with pytest.raises(ValueError, match="finite"):
             half_norms(Database(patches=patches, patch_size=4), 10)
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_m_below_one_rejected(self, rng, m):
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+            screen_index(_random_db(rng, n=20), m)
+
     def test_queries_must_match_the_table(self, rng):
         index = screen_index(_random_db(rng, n=100), 10)
         assert screen(index, []) == [] == screen(index, np.empty((0, 16)))
@@ -1043,6 +1048,15 @@ class TestComputeWeights:
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             compute_weights(np.zeros(4), np.zeros((2, 4)), 0.0)
+
+    def test_nan_bandwidth_rejected(self):
+        with pytest.raises(ValueError, match="bandwidth h must be > 0, got nan"):
+            compute_weights(np.zeros(4), np.eye(4)[:2], float("nan"))
+
+    def test_infinite_bandwidth_gives_uniform_weights(self, rng):
+        selected = rng.standard_normal((5, 8))
+        w = compute_weights(np.zeros(8), selected, float("inf"))
+        np.testing.assert_array_equal(w, 0.2)
 
 
 class TestDatabaseQuality:

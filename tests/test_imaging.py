@@ -198,6 +198,10 @@ class TestPatchExtraction:
         with pytest.raises(ValueError, match=re.escape(f"patch at {loc}")):
             extract_patches(np.zeros((8, 12)), [(4, 8), loc], 4)
 
+    @pytest.mark.parametrize("locs", [[], np.zeros((0, 2), dtype=int)])
+    def test_extract_patches_of_no_locations(self, locs):
+        assert extract_patches(np.zeros((8, 8)), locs, 4).shape == (0, 16)
+
 
 def loop_aggregate(patches, locs, width, height):
     """The per-patch reference: each patch added into its window in order."""
@@ -222,7 +226,8 @@ def placed_patches(draw):
     width, height = draw(st.integers(side, 14)), draw(st.integers(side, 14))
     locs = plan_grid(width, height, side, draw(st.integers(1, side)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    locs = rng.permutation(np.concatenate([locs, rng.choice(locs, rng.integers(len(locs) + 1))]))
+    repeats = rng.choice(locs, rng.integers(len(locs) + 1))
+    locs = rng.permutation(np.concatenate([locs, repeats]))
     patches = rng.choice(ROUNDING, (len(locs), side * side))
     return patches, locs, width, height
 
@@ -280,3 +285,15 @@ class TestAggregate:
             aggregate(np.zeros((2, 16)), locs, 12, 8)
         assert str(aggregated.value) == str(extracted.value)
         assert str(aggregated.value).startswith(f"patch at {loc} size 4")
+
+    def test_empty_locations_reach_the_coverage_check(self):
+        with pytest.raises(CoverageError, match="16 pixels"):
+            aggregate(np.zeros((0, 16)), [], 4, 4)
+
+    @pytest.mark.parametrize("locs", [np.zeros((3, 3)), [1, 2], np.zeros((1, 2, 2))])
+    def test_rejects_locs_that_are_not_n_by_2(self, locs):
+        shape = np.shape(locs)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            extract_patches(np.zeros((8, 8)), locs, 4)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            aggregate(np.zeros((len(locs), 16)), locs, 8, 8)

@@ -438,6 +438,21 @@ class TestScreenKeptWithDatabase:
                          sigmas=[15.0, 25.0], rules=["bayes", "lpg"])
         assert len(rows) == 4 and screen_builds == [20]
 
+    @pytest.mark.parametrize("threads", [0, -2, 2.5, "2"])
+    def test_bad_threads_rejected_before_any_work(self, tiny_scene, screen_builds,
+                                                  monkeypatch, threads):
+        clean, db = tiny_scene
+        db = _fresh_copy(db)
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            denoise_image(clean, db, _tiny_cfg(), threads=threads)
+        noised = []
+        monkeypatch.setattr(pipeline, "add_gaussian_noise",
+                            lambda *args: noised.append(args))
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            run_sweep(clean, db, _tiny_cfg(), sigmas=[15.0], rules=["bayes"],
+                      threads=threads)
+        assert screen_builds == [] and noised == []
+
     def test_a_new_m_rebuilds_the_index(self, tiny_scene, screen_builds):
         clean, db = tiny_scene
         db = _fresh_copy(db)
