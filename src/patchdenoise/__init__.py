@@ -27,6 +27,7 @@ from .database import (
 from .filters import (
     PatchEnsemble,
     apply_filter,
+    eigenbasis,
     group_sparse_basis,
     spectrum_bayes,
     spectrum_bm3d_pilot,

@@ -1,9 +1,11 @@
 """Spectral denoising filters learned from weighted patch ensembles.
 
-The filter is U diag(lambda) U^T: an orthonormal basis U obtained from the
-eigendecomposition of the weighted second-moment matrix P W P^T of the
-selected reference patches, and per-coordinate shrinkage factors lambda
-chosen by one of several rules.
+The filter is U diag(lambda) U^T: an orthonormal basis U of eigenvectors
+of the weighted second-moment matrix P W P^T of the selected reference
+patches, and per-coordinate shrinkage factors lambda chosen by one of
+several rules. group_sparse_basis spans the matrix's range only, which is
+all the rules that read the spectrum alone need; eigenbasis is the full
+basis, for the rules that read coefficients along every direction.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 __all__ = [
     "PatchEnsemble",
     "group_sparse_basis",
+    "eigenbasis",
     "spectrum_oracle",
     "spectrum_bayes",
     "spectrum_penalized",
@@ -42,6 +45,12 @@ class PatchEnsemble:
             raise ValueError("P must be a (d, k) matrix with k >= 1")
         if self.weights.shape != (self.P.shape[1],):
             raise ValueError("weights must have one entry per patch column")
+        # Checked here so that neither basis sees NaN or inf: eigh would fail
+        # to converge, and the range basis would find no direction at all.
+        if not np.isfinite(self.P).all():
+            raise ValueError("P must be finite")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
         # np.isclose(sum, 1.0)'s default tolerances, without its per-call
         # overhead; a NaN sum fails the comparison.
         w = self.weights
@@ -50,10 +59,102 @@ class PatchEnsemble:
 
 
 def group_sparse_basis(ens: PatchEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Basis minimizing the l12 norm of the projected patch matrix.
+    """Range basis of the weighted second moment M = P W P^T, for the rules
+    whose shrinkage is a function of the spectrum alone.
 
-    Eigendecomposes the symmetrized weighted second moment M = P W P^T.
-    Returns (U, s) with eigenvalues sorted descending and clamped at zero.
+    Returns (U, s): U is d x r with orthonormal columns spanning M's
+    numerical range, s holds M's r eigenvalues on it, descending and
+    positive. Among orthonormal bases, M's eigenbasis projects the patches
+    most group-sparsely (least l12 norm); along M's null space every patch
+    projects to zero, so U carries every nonzero projection. bayes, bayes_l1
+    and bayes_l0 give lam = 0 at s = 0, so their filter U diag(lam) U^T
+    reads only U; the rules that read coefficients take eigenbasis().
+
+    Pivoted Gram-Schmidt runs on Y = P diag(sqrt(w)), so that M = Y Y^T,
+    in float64 and scaled by a power of two (exactly) so that its longest
+    column has a squared norm in [1/4, 1): no square below then overflows,
+    and none large enough to reach a threshold underflows. Each step takes
+    the column whose residual against the pivots so far most exceeds its
+    threshold tau_j (the lowest index on ties), re-orthogonalises that
+    residual once against the pivots and adds it to them as the next unit
+    vector; then every column's residual is formed afresh from Y against
+    all the pivots. It stops when every residual's squared norm rho_j is at
+    most tau_j. With the r pivots as the columns of Q, B = Q^T Y is r x k,
+    and the eigh of B B^T (r x r) gives U = Q V and s; an eigenvalue
+    computed <= 0 is dropped, as every spectral rule maps it to 0. Each
+    column's sign is fixed as in eigenbasis(): its largest-magnitude
+    component is positive (the first on ties).
+
+    tau_j = max((d eps)^2 n_j, (eps n0 / k)^2 / n_j), with eps the machine
+    epsilon (2**-52 in float64), n_j = ||Y_j||^2 and n0 the largest n_j.
+    When the loop stops, Y = Q B + R with R orthogonal to Q, and U, s are
+    the eigenpairs of Q B B^T Q^T. M differs from it by the sum over
+    columns of Q B_j R_j^T + R_j B_j^T Q^T + R_j R_j^T, whose Frobenius norm
+    is at most sum_j 3 sqrt(n_j rho_j), as ||B_j||, ||R_j|| <= ||Y_j||. The
+    threshold makes each term at most 3 eps max(d n_j, n0 / k), so the
+    range basis is exact for a matrix within 3 (d + 1) eps T of M, with
+    T = tr(M) = sum_j n_j. The full path is no closer: forming M rounds it
+    by up to (k + 1) 2**-53 T, and LAPACK's eigh is exact only for some
+    M + E with ||E|| <= p(d) eps ||M||, p(d) a modestly growing function of
+    d. oracles.range_filter_tolerance bounds how far the two filters then
+    differ. The two limbs of tau_j:
+      - relative: rounding leaves a column that lies in the span of the
+        pivots (a repeat, a multiple, a zero) a residual of about eps
+        ||Y_j||, d times below the limb, so such a column never adds a
+        direction (should rounding ever exceed the limb, the extra pivot
+        only adds an s near 0);
+      - absolute: a column with n_j <= eps n0 / k, such as a reference of
+        negligible weight, is dropped whatever its direction.
+    One threshold for every column would not do: the cross terms are of
+    first order in ||R_j||, so a heavy column whose residual is just under
+    a fixed tau moves M by sqrt(tau n_j).
+
+    An all-zero ensemble has r = 0: U is d x 0 and s is empty, and
+    apply_filter returns zeros. An ensemble whose eigenvalues could
+    overflow (k n0 >= 2**1020, before scaling) raises ValueError.
+    """
+    Yt = ens.P.T * np.sqrt(ens.weights, dtype=np.float64)[:, None]  # Y^T
+    k, d = Yt.shape
+    n0 = float(np.vecdot(Yt, Yt).max())
+    if not k * n0 < 2.0**1020:  # so that no eigenvalue overflows
+        raise ValueError("the ensemble's second moment overflows float64")
+    e = math.frexp(math.sqrt(n0))[1]
+    Yt *= 2.0**-e  # exact; now n0 lies in [1/4, 1)
+    n = np.vecdot(Yt, Yt)
+    eps = 2.0**-52
+    small = (eps * n.max() / k) ** 2
+    # A zero or subnormal column gets a tau_j far above any rho_j <= 1.
+    tau = np.maximum((d * eps) ** 2 * n, small / np.maximum(n, 2.0**-1022))
+    Qt = np.empty((min(d, k), d))  # Q^T: one row per pivot
+    Bt = Yt[:, :0]  # Y^T Q, k x r
+    r, R, rho = 0, Yt, n
+    while r < len(Qt):
+        j = (rho - tau).argmax()
+        if not rho[j] > tau[j]:
+            break
+        v = R[j] / math.sqrt(rho[j])
+        if r:
+            v -= (Qt[:r] @ v) @ Qt[:r]
+            v /= math.sqrt(v @ v)
+        Qt[r] = v
+        r += 1
+        Bt = Yt @ Qt[:r].T
+        R = Yt - Bt @ Qt[:r]
+        rho = np.vecdot(R, R)
+    s, V = np.linalg.eigh(Bt.T @ Bt)
+    s, V = s[::-1], V[:, ::-1]  # eigh's ascending order, reversed
+    keep = np.count_nonzero(s > 0)
+    return _orient(Qt[:r].T @ V[:, :keep]), s[:keep] * 4.0**e
+
+
+def eigenbasis(ens: PatchEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigenbasis of the symmetrized weighted second moment M = P W P^T.
+
+    Returns (U, s): U is d x d orthonormal, s its eigenvalues sorted
+    descending and clamped at zero. Beyond M's range the basis is whatever
+    eigh picks; the oracle, bm3d_pilot and lpg rules read coefficients
+    there, so they take this basis, and the spectral rules take
+    group_sparse_basis.
 
     Each eigenvector's sign is fixed so its largest-magnitude component is
     positive; the filter U diag(lam) U^T is invariant to this choice.
@@ -73,6 +174,13 @@ def group_sparse_basis(ens: PatchEnsemble) -> tuple[np.ndarray, np.ndarray]:
     return _eigh_basis(M.tobytes(), M.dtype)
 
 
+def _orient(U: np.ndarray) -> np.ndarray:
+    """U with each column's largest-magnitude component (the first on
+    ties) made positive."""
+    anchors = np.abs(U).argmax(axis=0)
+    return U * np.copysign(1.0, U[anchors, np.arange(U.shape[1])])
+
+
 @functools.lru_cache(maxsize=8)
 def _eigh_basis(key: bytes, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     M = np.frombuffer(key, dtype=dtype)
@@ -80,11 +188,7 @@ def _eigh_basis(key: bytes, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(M.reshape(d, d))
     order = np.argsort(vals, kind="stable")[::-1]
     s = np.maximum(vals[order], 0.0)
-    U = vecs[:, order]
-    anchors = np.argmax(np.abs(U), axis=0)
-    signs = np.sign(U[anchors, np.arange(U.shape[1])])
-    signs[signs == 0] = 1.0
-    U = U * signs[None, :]
+    U = _orient(vecs[:, order])
     U.flags.writeable = False
     s.flags.writeable = False
     return U, s

@@ -23,6 +23,8 @@ __all__ = [
     "bayes_mse",
     "grid_min_shrinkage",
     "random_orthonormal",
+    "spectral_lipschitz",
+    "range_filter_tolerance",
     "verify_all",
 ]
 
@@ -37,8 +39,9 @@ SIGMAS = (10.0, 50.0, 100.0)  # noise levels per Monte Carlo filter
 ALTERNATIVES = 1000  # rival (U, lam) pairs per oracle problem
 ROTATIONS = 1000  # random rotations per ensemble
 PAIRS = 50  # (s, sigma) pairs for the ensemble-spectrum rule
-ENSEMBLES = 50  # weighted ensembles for the prior identity
+ENSEMBLES = 50  # weighted ensembles for the prior identity and range filter
 TRIPLES = 100  # random penalized (s, sigma, gamma) cases, boundaries aside
+GAMMA = 0.02  # the sparsity weight of the range-filter check (DenoiseConfig's)
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,58 @@ def random_orthonormal(d: int, seed: int) -> np.ndarray:
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return Q * signs[None, :]
+
+
+def spectral_lipschitz(rule: str, sigma: float, gamma: float) -> float:
+    """Lipschitz constant in s >= 0 of a spectral rule's lam(s).
+
+    bayes: sigma^2/(s + sigma^2)^2 <= 1/sigma^2. bayes_l1: its ramp has
+    slope (sigma^2 + gamma/2)/(s + sigma^2)^2 <= (sigma^2 + gamma/2)/sigma^4.
+    bayes_l0 is bayes or 0 on either side of its threshold jump; the
+    constant 1/sigma^2 holds only between spectra on the same side of it.
+    """
+    if rule in ("bayes", "bayes_l0"):
+        return 1.0 / sigma**2
+    if rule == "bayes_l1":
+        return (sigma**2 + gamma / 2.0) / sigma**4
+    raise ValueError(f"{rule!r} is not a spectral rule")
+
+
+def range_filter_tolerance(d: int, k: int, trace: float, lipschitz: float) -> float:
+    """Bound on ||F_range - F_full||_F, where F = U diag(lam) U^T with U, s
+    from group_sparse_basis and from a full eigh of M = P W P^T, for a
+    d x k float64 ensemble and a rule whose lam(s) has Lipschitz constant L,
+    given T = trace = tr(M) = sum_j w_j ||p_j||^2 (or a bound on it). It
+    also bounds each entry of F_range - F_full, and the two filters applied
+    to a patch q differ by at most tol ||q||.
+
+    tol = 2 eps ((4d + 3k + 3) L T + d + k), with eps = 2**-52; T bounds
+    ||M||_2 and ||M||_F. Each path computes, up to the rounding of its own
+    products, f(M + E) for the function f of a symmetric matrix that maps
+    its eigenvalues s to lam(max(s, 0)), taking each product's rounding as
+    its inner dimension times eps T:
+      - the full path forms M with k products per entry, within
+        (k + 1) 2**-53 T in Frobenius norm (Cauchy-Schwarz), and eigh adds
+        its backward error p(d) eps ||M||_F, with p(d) taken as d (LAPACK
+        states p only as a modestly growing function): ||E|| <= (d + k) eps T;
+      - the range path drops at most 3 (d + 1) eps T (group_sparse_basis);
+        the residuals its stopping test reads are off by at most
+        (d + r) eps ||Y_j|| each, which the same three-fold cross-term sum
+        turns into 3 (d + k) eps T; B = Q^T Y, B B^T and the r x r eigh
+        round by (d + k + r) eps T and forming Y by 2 eps T: ||E|| <=
+        (7d + 5k + 5) eps T.
+    For symmetric A = sum a_i u_i u_i^T and B = sum b_j v_j v_j^T,
+    ||f(A) - f(B)||_F^2 = sum_ij (f(a_i) - f(b_j))^2 (u_i^T v_j)^2
+    <= L^2 ||A - B||_F^2, however close the eigenvalues lie, so the two
+    filters differ by at most 2 (4d + 3k + 3) eps L T. Forming
+    U diag(lam) U^T sums d terms bounded by lam_i u_i^2 with lam <= 1, and
+    each U is orthonormal to within about d eps; 2 (d + k) eps more covers
+    both. With L = 1 the same bound covers ||M U - U diag(s)||_F for the
+    range basis, M U formed in float64. bayes_l0's jump breaks the
+    Lipschitz step: the bound holds when no eigenvalue of M lies within
+    2 (4d + 3k + 3) eps T of the threshold.
+    """
+    return 2 * 2.0**-52 * ((4 * d + 3 * k + 3) * lipschitz * trace + d + k)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +375,53 @@ def _check_penalized_grid(seed: int):
     return _grid_result("penalized-shrinkage-grid", cases, seed)
 
 
+def _check_range_filter(seed: int):
+    """The range basis gives the spectral rules the full eigh's filter.
+
+    Each ensemble repeats up to three directions of norm A (one of them
+    flat, and the last, when there are two or more, within a relative
+    1e-4 to 1e-14 of the one before it, so that heavy columns have small
+    residuals), scaled by 1, -1, 1/2 or 0. Each direction's weights lie
+    within two decades of its own level, and the levels spread over 18
+    decades, so some directions sit near the rank cut-off on either side
+    of it. T <= A^2, so one range_filter_tolerance covers every case. The
+    full filter comes from np.linalg.eigh of M formed here.
+    """
+    rng = np.random.default_rng(seed)
+    norm = float(ENSEMBLE_SCALE * np.sqrt(DIM))
+    rules = {"bayes": filters.spectrum_bayes,
+             "bayes_l1": lambda s, sigma: filters.spectrum_penalized(
+                 s, sigma, GAMMA, 1)}
+    worst = 0.0
+    for _ in range(ENSEMBLES):
+        rank = int(rng.integers(1, 4))
+        base = rng.standard_normal((DIM, rank))
+        base[:, 0] = 1.0
+        if rank > 1:  # the last direction nearly repeats the one before it
+            base[:, -1] = base[:, -2] + (10.0 ** -rng.uniform(4.0, 14.0)
+                                         * rng.standard_normal(DIM))
+        base *= norm / np.linalg.norm(base, axis=0)
+        picks = rng.integers(rank, size=ENSEMBLE_SIZE)
+        P = base[:, picks] * rng.choice([1.0, -1.0, 0.5, 0.0], size=ENSEMBLE_SIZE)
+        level = rng.uniform(0.0, 18.0, rank)
+        w = 10.0 ** -(level[picks] + rng.uniform(0.0, 2.0, ENSEMBLE_SIZE))
+        ens = filters.PatchEnsemble(P=P, weights=w / w.sum())
+        U, s = filters.group_sparse_basis(ens)
+        M = (ens.P * ens.weights) @ ens.P.T
+        s_full, U_full = np.linalg.eigh(0.5 * (M + M.T))
+        s_full = np.maximum(s_full, 0.0)
+        for sigma in SIGMAS:
+            for lam in rules.values():
+                ours = (U * lam(s, sigma)) @ U.T
+                full = (U_full * lam(s_full, sigma)) @ U_full.T
+                worst = max(worst, np.abs(ours - full).max())
+    L = max(spectral_lipschitz(rule, sigma, GAMMA) for rule in rules
+            for sigma in SIGMAS)
+    tolerance = range_filter_tolerance(DIM, ENSEMBLE_SIZE, norm**2, L)
+    return _result("range-filter-agreement", worst, tolerance,
+                   ENSEMBLES * len(SIGMAS) * len(rules), seed)
+
+
 def verify_all(seed: int = 0, bayes_rule=None) -> list[VerificationResult]:
     """Run the full verification battery with per-check derived seeds.
 
@@ -327,7 +429,7 @@ def verify_all(seed: int = 0, bayes_rule=None) -> list[VerificationResult]:
     grid check; it exists so mutation tests can confirm the battery actually
     rejects a corrupted rule. Failures are reported, never raised.
     """
-    seeds = np.random.SeedSequence(seed).generate_state(7)
+    seeds = np.random.SeedSequence(seed).generate_state(8)
     return [
         _check_mc_identity(int(seeds[0])),
         _check_oracle_dominance(int(seeds[1])),
@@ -336,4 +438,5 @@ def verify_all(seed: int = 0, bayes_rule=None) -> list[VerificationResult]:
         _check_bayes_grid(int(seeds[4]), bayes_rule=bayes_rule),
         _check_prior_identity(int(seeds[5])),
         _check_penalized_grid(int(seeds[6])),
+        _check_range_filter(int(seeds[7])),
     ]

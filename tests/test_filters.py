@@ -19,6 +19,7 @@ from patchdenoise import filters
 from patchdenoise.filters import (
     PatchEnsemble,
     apply_filter,
+    eigenbasis,
     group_sparse_basis,
     spectrum_bayes,
     spectrum_bm3d_pilot,
@@ -31,7 +32,11 @@ from patchdenoise.oracles import (
     l12_norm,
     local_prior,
     random_orthonormal,
+    range_filter_tolerance,
+    spectral_lipschitz,
 )
+
+EPS = 2.0**-52
 
 
 def _ensemble(rng, d=8, k=20, scale=10.0, uniform=True):
@@ -60,8 +65,8 @@ class TestGroupSparseBasis:
         p = rng.standard_normal(8)
         ens = PatchEnsemble(P=p[:, None], weights=np.array([1.0]))
         U, s = group_sparse_basis(ens)
+        assert U.shape == (8, 1) and s.shape == (1,)
         assert s[0] == pytest.approx(np.linalg.norm(p) ** 2, rel=1e-12)
-        np.testing.assert_allclose(s[1:], 0.0, atol=1e-9)
         direction = p / np.linalg.norm(p)
         assert abs(abs(U[:, 0] @ direction) - 1.0) < 1e-12
 
@@ -71,8 +76,7 @@ class TestGroupSparseBasis:
         P[0, 0], P[1, 1] = a, b
         ens = PatchEnsemble(P=P, weights=np.array([0.5, 0.5]))
         _, s = group_sparse_basis(ens)
-        np.testing.assert_allclose(s[:2], [a**2 / 2, b**2 / 2], rtol=1e-12)
-        np.testing.assert_allclose(s[2:], 0.0, atol=1e-12)
+        np.testing.assert_allclose(s, [a**2 / 2, b**2 / 2], rtol=1e-12)
 
     def test_orthonormal_descending_nonnegative(self, rng):
         for _ in range(10):
@@ -106,6 +110,101 @@ class TestGroupSparseBasis:
         anchors = np.argmax(np.abs(U1), axis=0)
         assert np.all(U1[anchors, np.arange(8)] > 0)
 
+    def test_all_zero_ensemble_has_an_empty_basis_and_a_zero_patch(self, rng):
+        ens = PatchEnsemble(P=np.zeros((8, 5)), weights=np.full(5, 0.2))
+        U, s = group_sparse_basis(ens)
+        assert U.shape == (8, 0) and s.shape == (0,)
+        q = rng.standard_normal(8)
+        lam = spectrum_bayes(s, 3.0)
+        np.testing.assert_array_equal(apply_filter(U, lam, q), 0.0)
+
+    def test_overflowing_second_moment_rejected(self):
+        ens = PatchEnsemble(P=np.full((4, 2), 1e200), weights=np.full(2, 0.5))
+        # numpy's overflow warning is not the point here; the error is.
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="second moment overflows"):
+            group_sparse_basis(ens)
+
+
+_SPECTRAL_RULES = {
+    "bayes": lambda s, sigma, gamma: spectrum_bayes(s, sigma),
+    "bayes_l1": lambda s, sigma, gamma: spectrum_penalized(s, sigma, gamma, 1),
+    "bayes_l0": lambda s, sigma, gamma: spectrum_penalized(s, sigma, gamma, 0),
+}
+
+
+def _spectral_filter(basis, rule, sigma, gamma):
+    U, s = basis
+    return (U * _SPECTRAL_RULES[rule](s, sigma, gamma)) @ U.T
+
+
+@st.composite
+def _rank_deficient_ensembles(draw):
+    """Repeats of up to four columns, each random, flat, zero or a random
+    one nudged by a relative 1e-4 to 1e-14, with weights spread over 15
+    decades, and a reordering of the references."""
+    d = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "flat", "zero", "nudged"]),
+                          min_size=1, max_size=4))
+    flat = draw(st.floats(-255.0, 255.0))
+    nudge = 10.0 ** -draw(st.floats(4.0, 14.0))
+    anchor = 255.0 * rng.random(d)
+    base = [255.0 * rng.random(d) if kind == "random" else
+            anchor + nudge * 255.0 * rng.random(d) if kind == "nudged" else
+            np.full(d, flat if kind == "flat" else 0.0) for kind in kinds]
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=40))
+    decades = draw(st.lists(st.floats(0.0, 15.0), min_size=len(picks),
+                            max_size=len(picks)))
+    w = 10.0 ** -np.array(decades)
+    # Flat columns are all multiples of one direction; on d = 1 every column is.
+    directions = len({i for i in picks if kinds[i] in ("random", "nudged")})
+    directions += any(kinds[i] == "flat" for i in picks) and flat != 0.0
+    order = np.array(draw(st.permutations(range(len(picks)))))
+    sigma = draw(st.sampled_from([5.0, 20.0, 50.0]))
+    gamma = draw(st.sampled_from([0.0, 0.02, 5.0]))
+    P = np.column_stack([base[i] for i in picks])
+    return P, w / w.sum(), min(d, directions), order, sigma, gamma
+
+
+class TestRangeBasis:
+    """group_sparse_basis against the full eigenbasis, within the bound
+    oracles.range_filter_tolerance derives."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_rank_deficient_ensembles())
+    def test_range_filter_is_the_full_filter(self, case):
+        P, w, directions, order, sigma, gamma = case
+        ens = PatchEnsemble(P=P, weights=w)
+        d, k = P.shape
+        T = float(np.einsum("ij,ij->j", P, P) @ w)
+        U, s = group_sparse_basis(ens)
+        r = U.shape[1]
+        assert U.shape == (d, r) and s.shape == (r,) and r <= directions
+        assert np.all(s > 0) and np.all(np.diff(s) <= 0)
+        np.testing.assert_allclose(U.T @ U, np.eye(r), rtol=0,
+                                   atol=2 * (d + k) * EPS)
+        M = (P * w) @ P.T
+        # Each of the (d + k)^2 roundings may also lose up to 2**-1075 to
+        # gradual underflow where squares of tiny entries are subnormal.
+        np.testing.assert_allclose(M @ U, U * s, rtol=0,
+                                   atol=range_filter_tolerance(d, k, T, 1.0)
+                                   + (d + k) ** 2 * 2.0**-1074)
+
+        full = eigenbasis(ens)
+        shuffled = group_sparse_basis(PatchEnsemble(P=P[:, order], weights=w[order]))
+        jump = (gamma + np.sqrt(gamma**2 + 4 * gamma * sigma**2)) / 2
+        for rule in _SPECTRAL_RULES:
+            if rule == "bayes_l0" and np.any(
+                    np.abs(full[1] - jump) <= 2 * (4 * d + 3 * k + 3) * EPS * T):
+                continue  # the hard threshold may fall either way
+            tol = range_filter_tolerance(d, k, T,
+                                         spectral_lipschitz(rule, sigma, gamma))
+            ours = _spectral_filter((U, s), rule, sigma, gamma)
+            for other in (full, shuffled):
+                other = _spectral_filter(other, rule, sigma, gamma)
+                assert np.abs(ours - other).max() <= tol
+
 
 # Few distinct values, signed zeros and repeated columns and weights, so
 # examples often rebuild a second moment seen before, or one that differs
@@ -132,17 +231,17 @@ class TestBasisMemo:
     @given(_repeating_ensembles())
     def test_memo_returns_exactly_the_fresh_basis(self, case):
         P, w = case
-        U, s = group_sparse_basis(PatchEnsemble(P=P, weights=w))
+        U, s = eigenbasis(PatchEnsemble(P=P, weights=w))
         with mock.patch.object(filters, "_eigh_basis",
                                filters._eigh_basis.__wrapped__):
-            fresh = group_sparse_basis(PatchEnsemble(P=P, weights=w))
+            fresh = eigenbasis(PatchEnsemble(P=P, weights=w))
         for got, want in zip((U, s), fresh):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             assert got.flags.f_contiguous == want.flags.f_contiguous
 
         hits = filters._eigh_basis.cache_info().hits
-        again = group_sparse_basis(PatchEnsemble(P=P.copy(), weights=w.copy()))
+        again = eigenbasis(PatchEnsemble(P=P.copy(), weights=w.copy()))
         assert filters._eigh_basis.cache_info().hits == hits + 1
         for got, want in zip(again, (U, s)):
             assert got.tobytes() == want.tobytes()
@@ -158,10 +257,10 @@ class TestBasisMemo:
         ensembles = [_ensemble(rng) for _ in range(12)]
         with mock.patch.object(filters, "_eigh_basis",
                                filters._eigh_basis.__wrapped__):
-            want = [group_sparse_basis(ens) for ens in ensembles]
+            want = [eigenbasis(ens) for ens in ensembles]
 
         def work(start):
-            return [(j % 12, group_sparse_basis(ensembles[j % 12]))
+            return [(j % 12, eigenbasis(ensembles[j % 12]))
                     for j in range(start, start + 200)]
 
         interval = sys.getswitchinterval()
@@ -411,6 +510,19 @@ class TestApplyFilter:
 
 
 class TestEnsembleValidation:
+    @pytest.mark.parametrize("basis", [group_sparse_basis, eigenbasis])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ensemble_rejected_before_either_basis(self, rng, basis,
+                                                               bad):
+        P = rng.standard_normal((4, 3))
+        w = np.full(3, 1 / 3)
+        P[2, 1] = bad
+        with pytest.raises(ValueError, match="P must be finite"):
+            basis(PatchEnsemble(P=P, weights=w))
+        w[1] = bad
+        with pytest.raises(ValueError, match="weights must be finite"):
+            basis(PatchEnsemble(P=np.ones((4, 3)), weights=w))
+
     def test_weights_must_sum_to_one(self, rng):
         with pytest.raises(ValueError):
             PatchEnsemble(P=rng.standard_normal((4, 3)), weights=np.full(3, 0.5))

@@ -151,7 +151,7 @@ def default_battery(verify_runs):
 class TestVerifyAll:
     def test_default_battery_passes(self, default_battery):
         results = default_battery
-        assert len(results) == 7
+        assert len(results) == 8
         assert all(r["passed"] for r in results), [
             r["name"] for r in results if not r["passed"]]
 
@@ -166,6 +166,17 @@ class TestVerifyAll:
         assert not by_name["bayes-shrinkage-grid"].passed
         others = [r for r in results if r.name != "bayes-shrinkage-grid"]
         assert all(r.passed for r in others)
+
+    def test_truncated_range_basis_detected(self, monkeypatch):
+        # Dropping the weakest direction of the range changes the filter by
+        # far more than the derived tolerance.
+        basis = filters.group_sparse_basis
+        monkeypatch.setattr(filters, "group_sparse_basis",
+                            lambda ens: tuple(a[..., :-1] for a in basis(ens)))
+        by_name = {r.name: r for r in verify_all(0)}
+        assert not by_name["range-filter-agreement"].passed
+        assert all(r.passed for r in by_name.values()
+                   if r.name != "range-filter-agreement")
 
     def test_results_serialize(self, default_battery):
         # The JSON entries are VerificationResult.to_dict() payloads.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from patchdenoise import (add_gaussian_noise, build_database, filters,
-                          pipeline, psnr)
+                          oracles, pipeline, psnr)
 from patchdenoise import database as dbmod
 from patchdenoise.database import Database
 from patchdenoise.imaging import aggregate, extract_patch, plan_grid
@@ -294,9 +294,11 @@ class TestDenoiseImage:
             self, tiny_scene, monkeypatch):
         # tiny_scene is flat 4x4 blocks, so its flat queries select the same
         # rows with equal weights and build byte-identical second moments.
+        # The memo serves the full eigenbasis, which only the rules that
+        # read coefficients use.
         clean, db = tiny_scene
         noisy = add_gaussian_noise(clean, 12.0, 15)
-        cfg = _tiny_cfg(sigma=12.0)
+        cfg = _tiny_cfg(sigma=12.0, rule="lpg")
         filters._eigh_basis.cache_clear()
         memo = [denoise_image(noisy, db, cfg, threads=t)[0] for t in (1, 2)]
         assert filters._eigh_basis.cache_info().hits > 0
@@ -305,6 +307,37 @@ class TestDenoiseImage:
         for threads, out in zip((1, 2), memo):
             fresh, _ = denoise_image(noisy, db, cfg, threads=threads)
             assert fresh.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_range_basis_serves_the_spectral_rules_only(self, tiny_scene,
+                                                        monkeypatch, threads):
+        # With group_sparse_basis swapped for the full eigenbasis, the rules
+        # that read coefficients give the same bytes (they never call it),
+        # and the spectral rules move by at most the derived filter bound
+        # times the largest query norm, in either pass.
+        clean, db = tiny_scene
+        sigma, gamma = 12.0, 0.02
+        noisy = add_gaussian_noise(clean, sigma, 15)
+        bound = oracles.range_filter_tolerance(
+            16, 8, float(db.norms.max()),
+            max(oracles.spectral_lipschitz(rule, sigma, gamma)
+                for rule in pipeline._SPECTRAL_RULES))
+        bound *= 4.0 * np.abs(noisy).max()  # >= the norm of any 4x4 patch
+        outputs = {}
+        for rule in pipeline.RULES:
+            cfg = _tiny_cfg(sigma=sigma, gamma=gamma, rule=rule)
+            outputs[rule] = denoise_image(noisy, db, cfg, clean=clean,
+                                          threads=threads)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(filters, "group_sparse_basis", filters.eigenbasis)
+            for rule in pipeline.RULES:
+                cfg = _tiny_cfg(sigma=sigma, gamma=gamma, rule=rule)
+                full, _ = denoise_image(noisy, db, cfg, clean=clean,
+                                        threads=threads)
+                if rule in pipeline._SPECTRAL_RULES:
+                    assert np.abs(full - outputs[rule]).max() <= bound, rule
+                else:
+                    assert full.tobytes() == outputs[rule].tobytes(), rule
 
     def test_pool_fold_by_twin_id_is_the_fold_by_value(self, tiny_scene,
                                                         monkeypatch):
