@@ -230,10 +230,9 @@ def knn(db: Database, q, k: int) -> np.ndarray:
     return k_smallest(_query_distances(db, q), k)
 
 
-def cross_similarity_scores(c: np.ndarray, B: np.ndarray, tau: float) -> np.ndarray:
-    """Linear selection objective: query distance plus tau * column sums of B."""
-    B = np.asarray(B, dtype=np.float64)
-    return np.asarray(c, dtype=np.float64) + tau * B.sum(axis=0)
+def cross_similarity_scores(c: np.ndarray, sums: np.ndarray, tau: float) -> np.ndarray:
+    """Linear selection objective: query distance plus tau * summed pool distance."""
+    return np.asarray(c, dtype=np.float64) + tau * np.asarray(sums, dtype=np.float64)
 
 
 def first_pass_scores(c: np.ndarray, e: np.ndarray, tau: float) -> np.ndarray:
@@ -268,7 +267,7 @@ def refine_cross_similarity(
     """
     _check_tau(tau)
     pool, c = _candidate_pool(db, q, pool_size, k)
-    scores = cross_similarity_scores(c, _pool_sums(db, pool)[None, :], tau)
+    scores = cross_similarity_scores(c, _pool_sums(db, pool), tau)
     # Score ties break by lower database index, not by pool position.
     return pool[np.lexsort((pool, scores))[:k]]
 

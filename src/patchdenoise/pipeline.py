@@ -25,7 +25,7 @@ from . import database as dbmod
 from . import filters
 from .imaging import (add_gaussian_noise, aggregate, as_image, check_grid,
                       extract_patch, plan_grid)
-from .metrics import psnr, ssim
+from .metrics import _check_ssim_shape, psnr, ssim
 
 __all__ = [
     "RULES",
@@ -266,6 +266,7 @@ def denoise_image(
         if clean.shape != noisy.shape:
             raise ValueError(f"clean image shape {clean.shape} != "
                              f"noisy image shape {noisy.shape}")
+        _check_ssim_shape(clean.shape)
     elif cfg.rule == "oracle":
         raise ValueError("rule 'oracle' requires the clean image")
     if db.patch_size != cfg.patch_size:

@@ -479,15 +479,3 @@ class TestDatabaseGrid:
         err = capsys.readouterr().err
         assert f"--db-stride {stride}" in err and message in err
         assert not (tmp / "o.pgm").exists() and not (tmp / "s.csv").exists()
-
-
-def test_import_loads_no_scipy_search_or_signal(fresh_python):
-    # scipy.spatial and scipy.signal each add tens of MB to every run; the
-    # search needs neither, and scipy.signal loads only for SSIM.
-    script = """
-import sys
-import patchdenoise.cli
-print(sorted(m for m in sys.modules
-             if m.startswith(("scipy.spatial", "scipy.signal"))))
-"""
-    assert fresh_python(script).strip() == "[]"

@@ -623,7 +623,7 @@ def _cross_similarity_with_cdist(db, q, m, k, tau):
     dists = cdist(q[None, :], db.patches)[0]
     pool = np.argsort(dists, kind="stable")[:m]
     B = cdist(db.patches[pool], db.patches[pool])
-    scores = cross_similarity_scores(dists[pool], B, tau)
+    scores = cross_similarity_scores(dists[pool], B.sum(axis=0), tau)
     return pool[np.lexsort((pool, scores))[:k]], scores
 
 
@@ -635,7 +635,7 @@ def _assert_selects_like_cdist(db, q, m, k, tau, selected, tol):
     pool, _ = database._candidate_pool(db, q, m, k)
     assert c[pool].max() <= np.sort(c)[m - 1] + tol
     scores = dict(zip(pool, cross_similarity_scores(
-        c[pool], cdist(db.patches[pool], db.patches[pool]), tau)))
+        c[pool], cdist(db.patches[pool], db.patches[pool]).sum(axis=0), tau)))
     chosen = [scores[i] for i in selected]
     assert len(set(selected)) == k and set(selected) <= set(pool)
     assert all(b >= a - tol for a, b in zip(chosen, chosen[1:]))
@@ -896,7 +896,7 @@ class TestCrossSimilarityRefinement:
         # Column sums of B dominate the first candidate, so it is skipped.
         c = np.array([1.0, 2.0, 3.0])
         B = np.array([[0.0, 50.0, 50.0], [50.0, 0.0, 0.0], [50.0, 0.0, 0.0]])
-        scores = cross_similarity_scores(c, B, 1.0)
+        scores = cross_similarity_scores(c, B.sum(axis=0), 1.0)
         np.testing.assert_array_equal(scores, [101.0, 52.0, 53.0])
         np.testing.assert_array_equal(k_smallest(scores, 2), [1, 2])
 

@@ -403,15 +403,23 @@ for selection in ("auto", "cross_similarity"):
                           _tiny_cfg())
         assert calls == []
 
-    def test_clean_shape_checked_before_any_pass(self, tiny_scene, monkeypatch):
+    @pytest.mark.parametrize("noisy_shape, clean_shape, message", [
+        ((32, 32), (32, 28),
+         r"clean image shape \(32, 28\) != noisy image shape \(32, 32\)"),
+        # Too small for an SSIM window: rejected before denoising, not after.
+        ((10, 40), (10, 40), r"min side >= 11, got \(10, 40\)"),
+    ])
+    def test_clean_shape_checked_before_any_pass(self, tiny_scene, monkeypatch,
+                                                 noisy_shape, clean_shape, message):
         clean, db = tiny_scene
+        scene = np.tile(clean, (1, 2))
         passes = []
         monkeypatch.setattr(pipeline, "_run_pass",
                             lambda *args: passes.append(args))
-        with pytest.raises(ValueError, match=r"clean image shape \(32, 28\) != "
-                                             r"noisy image shape \(32, 32\)"):
-            denoise_image(clean, db, _tiny_cfg(rule="oracle"),
-                          clean=clean[:, :28])
+        with pytest.raises(ValueError, match=message):
+            denoise_image(scene[: noisy_shape[0], : noisy_shape[1]], db,
+                          _tiny_cfg(rule="oracle"),
+                          clean=scene[: clean_shape[0], : clean_shape[1]])
         assert passes == []
 
     def test_database_patch_size_must_match(self, tiny_scene):
