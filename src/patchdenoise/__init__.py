@@ -27,8 +27,8 @@ from .database import (
 from .filters import (
     PatchEnsemble,
     apply_filter,
-    eigenbasis,
     group_sparse_basis,
+    oracle_basis,
     spectrum_bayes,
     spectrum_bm3d_pilot,
     spectrum_lpg,

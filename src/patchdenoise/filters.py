@@ -1,16 +1,14 @@
 """Spectral denoising filters learned from weighted patch ensembles.
 
 The filter is U diag(lambda) U^T: an orthonormal basis U of eigenvectors
-of the weighted second-moment matrix P W P^T of the selected reference
-patches, and per-coordinate shrinkage factors lambda chosen by one of
-several rules. group_sparse_basis spans the matrix's range only, which is
-all the rules that read the spectrum alone need; eigenbasis is the full
-basis, for the rules that read coefficients along every direction.
+of the weighted second moment P W P^T of the selected reference patches,
+and per-coordinate shrinkage factors lambda chosen by one of several rules.
+Every rule takes group_sparse_basis, that matrix's range, off which every
+reference projects to zero; the oracle adds the true patch's residual.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +17,7 @@ import numpy as np
 __all__ = [
     "PatchEnsemble",
     "group_sparse_basis",
-    "eigenbasis",
+    "oracle_basis",
     "spectrum_oracle",
     "spectrum_bayes",
     "spectrum_penalized",
@@ -45,8 +43,7 @@ class PatchEnsemble:
             raise ValueError("P must be a (d, k) matrix with k >= 1")
         if self.weights.shape != (self.P.shape[1],):
             raise ValueError("weights must have one entry per patch column")
-        # Checked here so that neither basis sees NaN or inf: eigh would fail
-        # to converge, and the range basis would find no direction at all.
+        # Checked here: the basis would find no direction in NaN or inf.
         if not np.isfinite(self.P).all():
             raise ValueError("P must be finite")
         if not np.isfinite(self.weights).all():
@@ -59,31 +56,30 @@ class PatchEnsemble:
 
 
 def group_sparse_basis(ens: PatchEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Range basis of the weighted second moment M = P W P^T, for the rules
-    whose shrinkage is a function of the spectrum alone.
+    """Range basis of the weighted second moment M = P W P^T, for every rule.
 
     Returns (U, s): U is d x r with orthonormal columns spanning M's
     numerical range, s holds M's r eigenvalues on it, descending and
-    positive. Among orthonormal bases, M's eigenbasis projects the patches
-    most group-sparsely (least l12 norm); along M's null space every patch
-    projects to zero, so U carries every nonzero projection. bayes, bayes_l1
-    and bayes_l0 give lam = 0 at s = 0, so their filter U diag(lam) U^T
-    reads only U; the rules that read coefficients take eigenbasis().
+    positive. Of all orthonormal bases, M's eigenbasis projects the patches
+    most group-sparsely (least l12 norm), and along M's null space every
+    patch projects to zero, so U carries every nonzero projection. A full
+    d x d eigh would add d - r directions that LAPACK picks arbitrarily,
+    along which bm3d_pilot and lpg would read noise.
 
-    Pivoted Gram-Schmidt runs on Y = P diag(sqrt(w)), so that M = Y Y^T,
-    in float64 and scaled by a power of two (exactly) so that its longest
-    column has a squared norm in [1/4, 1): no square below then overflows,
-    and none large enough to reach a threshold underflows. Each step takes
-    the column whose residual against the pivots so far most exceeds its
-    threshold tau_j (the lowest index on ties), re-orthogonalises that
-    residual once against the pivots and adds it to them as the next unit
-    vector; then every column's residual is formed afresh from Y against
-    all the pivots. It stops when every residual's squared norm rho_j is at
-    most tau_j. With the r pivots as the columns of Q, B = Q^T Y is r x k,
-    and the eigh of B B^T (r x r) gives U = Q V and s; an eigenvalue
-    computed <= 0 is dropped, as every spectral rule maps it to 0. Each
-    column's sign is fixed as in eigenbasis(): its largest-magnitude
-    component is positive (the first on ties).
+    Pivoted Gram-Schmidt runs on Y = P diag(sqrt(w)), M = Y Y^T, in float64
+    and scaled by a power of two (exactly) so that its longest column has a
+    squared norm in [1/4, 1): no square below then overflows, and none
+    large enough to reach a threshold underflows. Each step takes the
+    column whose residual most exceeds its threshold tau_j (the lowest
+    index on ties), re-orthogonalises that residual once against the
+    pivots and adds it to them as the next unit vector, then forms every
+    column's residual afresh from Y against all the pivots. It stops when
+    every residual's squared norm rho_j is at most tau_j. With the r pivots
+    as the columns of Q, B = Q^T Y is r x k, and the eigh of B B^T (r x r)
+    gives U = Q V and s; an eigenvalue computed <= 0 is dropped, as no
+    reference projects measurably on it. Each column's largest-magnitude
+    component (the first on ties) is made positive; no filter depends on
+    the sign.
 
     tau_j = max((d eps)^2 n_j, (eps n0 / k)^2 / n_j), with eps the machine
     epsilon (2**-52 in float64), n_j = ||Y_j||^2 and n0 the largest n_j.
@@ -93,11 +89,9 @@ def group_sparse_basis(ens: PatchEnsemble) -> tuple[np.ndarray, np.ndarray]:
     is at most sum_j 3 sqrt(n_j rho_j), as ||B_j||, ||R_j|| <= ||Y_j||. The
     threshold makes each term at most 3 eps max(d n_j, n0 / k), so the
     range basis is exact for a matrix within 3 (d + 1) eps T of M, with
-    T = tr(M) = sum_j n_j. The full path is no closer: forming M rounds it
-    by up to (k + 1) 2**-53 T, and LAPACK's eigh is exact only for some
-    M + E with ||E|| <= p(d) eps ||M||, p(d) a modestly growing function of
-    d. oracles.range_filter_tolerance bounds how far the two filters then
-    differ. The two limbs of tau_j:
+    T = tr(M) = sum_j n_j, no further than a full eigh's own backward
+    error (oracles.range_filter_tolerance compares the two). The two limbs
+    of tau_j:
       - relative: rounding leaves a column that lies in the span of the
         pivots (a repeat, a multiple, a zero) a residual of about eps
         ||Y_j||, d times below the limb, so such a column never adds a
@@ -113,7 +107,8 @@ def group_sparse_basis(ens: PatchEnsemble) -> tuple[np.ndarray, np.ndarray]:
     apply_filter returns zeros. An ensemble whose eigenvalues could
     overflow (k n0 >= 2**1020, before scaling) raises ValueError.
     """
-    Yt = ens.P.T * np.sqrt(ens.weights, dtype=np.float64)[:, None]  # Y^T
+    # Y^T, C-ordered whatever P's layout, which would set the sums' order.
+    Yt = np.ascontiguousarray(ens.P.T) * np.sqrt(ens.weights, dtype=np.float64)[:, None]
     k, d = Yt.shape
     n0 = float(np.vecdot(Yt, Yt).max())
     if not k * n0 < 2.0**1020:  # so that no eigenvalue overflows
@@ -144,54 +139,25 @@ def group_sparse_basis(ens: PatchEnsemble) -> tuple[np.ndarray, np.ndarray]:
     s, V = np.linalg.eigh(Bt.T @ Bt)
     s, V = s[::-1], V[:, ::-1]  # eigh's ascending order, reversed
     keep = np.count_nonzero(s > 0)
-    return _orient(Qt[:r].T @ V[:, :keep]), s[:keep] * 4.0**e
+    U = Qt[:r].T @ V[:, :keep]
+    U *= np.copysign(1.0, U[np.abs(U).argmax(axis=0), np.arange(keep)])
+    return U, s[:keep] * 4.0**e
 
 
-def eigenbasis(ens: PatchEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigenbasis of the symmetrized weighted second moment M = P W P^T.
-
-    Returns (U, s): U is d x d orthonormal, s its eigenvalues sorted
-    descending and clamped at zero. Beyond M's range the basis is whatever
-    eigh picks; the oracle, bm3d_pilot and lpg rules read coefficients
-    there, so they take this basis, and the spectral rules take
-    group_sparse_basis.
-
-    Each eigenvector's sign is fixed so its largest-magnitude component is
-    positive; the filter U diag(lam) U^T is invariant to this choice.
-
-    The eigendecomposition is memoized on the exact bytes (and dtype) of M,
-    keeping the 8 most recent: patches in a flat region select the same
-    references with the same weights, so they build a byte-identical M.
-    One-thread eigh is a deterministic function of those bytes, so a hit
-    returns exactly what a fresh call would; a -0.0/0.0 difference is just
-    a miss. U and s are shared between calls, so they are read-only: copy
-    them before writing. U keeps the layout the descending sort gives it
-    (Fortran order); apply_filter's U.T @ q sums in another order on a
-    C-ordered copy, so its last bits would differ.
+def oracle_basis(U, p_true) -> np.ndarray:
+    """U plus the unit residual r/||r||, r = (I - U U^T) p_true, projected
+    out twice to stay orthogonal to U: on it the oracle's coefficients carry
+    all of p_true, so its expected error is no larger than on U alone. U is
+    returned as it is when square, or when ||r|| <= d eps ||p_true|| (eps =
+    2**-52), what rounding leaves of a p_true in U's span; that costs ||r||^2.
     """
-    M = (ens.P * ens.weights[None, :]) @ ens.P.T
-    M = 0.5 * (M + M.T)  # kill floating-point asymmetry
-    return _eigh_basis(M.tobytes(), M.dtype)
-
-
-def _orient(U: np.ndarray) -> np.ndarray:
-    """U with each column's largest-magnitude component (the first on
-    ties) made positive."""
-    anchors = np.abs(U).argmax(axis=0)
-    return U * np.copysign(1.0, U[anchors, np.arange(U.shape[1])])
-
-
-@functools.lru_cache(maxsize=8)
-def _eigh_basis(key: bytes, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    M = np.frombuffer(key, dtype=dtype)
-    d = math.isqrt(M.size)
-    vals, vecs = np.linalg.eigh(M.reshape(d, d))
-    order = np.argsort(vals, kind="stable")[::-1]
-    s = np.maximum(vals[order], 0.0)
-    U = _orient(vecs[:, order])
-    U.flags.writeable = False
-    s.flags.writeable = False
-    return U, s
+    p = np.asarray(p_true, dtype=np.float64)
+    res = p - U @ (U.T @ p)
+    res -= U @ (U.T @ res)
+    norm = math.sqrt(res @ res)
+    if U.shape[1] >= len(p) or not norm > len(p) * 2.0**-52 * math.sqrt(p @ p):
+        return U
+    return np.column_stack([U, res / norm])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +209,11 @@ def spectrum_penalized(s, sigma: float, gamma: float, alpha: int) -> np.ndarray:
 
 
 def spectrum_bm3d_pilot(U, pbar, sigma: float) -> np.ndarray:
-    """Pilot-estimate shrinkage: the oracle rule evaluated at pbar."""
+    """Pilot-estimate shrinkage: the oracle rule evaluated at pbar.
+
+    Inside a repeated nonzero eigenvalue of P W P^T any rotation of the
+    eigenvectors is an eigenbasis, and lam depends on the one LAPACK picks.
+    """
     return spectrum_oracle(U, pbar, sigma)
 
 
@@ -251,7 +221,9 @@ def spectrum_lpg(U, q, sigma: float) -> np.ndarray:
     """Noisy-coefficient shrinkage lam = (t - sigma^2) / t, t = (U^T q)^2.
 
     The raw value is negative when t < sigma^2; it is clamped to [0, 1]
-    since any lam outside that range only increases the expected MSE.
+    since any lam outside that range only increases the expected MSE. As
+    for spectrum_bm3d_pilot, lam depends on LAPACK's pick of eigenvectors
+    inside a repeated nonzero eigenvalue.
     """
     t = (np.asarray(U).T @ np.asarray(q, dtype=np.float64)) ** 2
     return np.clip(_safe_ratio(t - sigma**2, t), 0.0, 1.0)

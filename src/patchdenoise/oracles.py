@@ -422,6 +422,37 @@ def _check_range_filter(seed: int):
                    ENSEMBLES * len(SIGMAS) * len(rules), seed)
 
 
+def _check_oracle_residual(seed: int):
+    """The oracle on oracle_basis beats the oracle and bm3d_pilot on the range
+    basis of a rank 1 to 3 ensemble, and the oracle on the range completed
+    to a random orthonormal basis: the worst relative excess of its
+    expected error ||F p - p||^2 + sigma^2 ||F||_F^2 over the best rival's."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(ENSEMBLES):
+        rank = int(rng.integers(1, 4))
+        P = ENSEMBLE_SCALE * (rng.standard_normal((DIM, rank))
+                              @ rng.standard_normal((rank, ENSEMBLE_SIZE)))
+        w = rng.random(ENSEMBLE_SIZE) + 0.05
+        U, s = filters.group_sparse_basis(
+            filters.PatchEnsemble(P=P, weights=w / w.sum()))
+        p = ENSEMBLE_SCALE * rng.standard_normal(DIM)
+        sigma = float(rng.choice(SIGMAS))
+        pilot = p + sigma * rng.standard_normal(DIM)
+        full = np.linalg.qr(np.column_stack(
+            [U, rng.standard_normal((DIM, DIM - len(s)))]))[0]
+        Uo = filters.oracle_basis(U, p)
+        risks = []
+        for V, lam in [(Uo, filters.spectrum_oracle(Uo, p, sigma)),
+                       (U, filters.spectrum_oracle(U, p, sigma)),
+                       (U, filters.spectrum_bm3d_pilot(U, pilot, sigma)),
+                       (full, filters.spectrum_oracle(full, p, sigma))]:
+            F = (V * lam) @ V.T
+            risks.append(np.sum((F @ p - p) ** 2) + sigma**2 * np.sum(F**2))
+        worst = max(worst, risks[0] / min(risks[1:]) - 1.0)
+    return _result("oracle-residual-dominance", worst, 1e-12, ENSEMBLES * 3, seed)
+
+
 def verify_all(seed: int = 0, bayes_rule=None) -> list[VerificationResult]:
     """Run the full verification battery with per-check derived seeds.
 
@@ -429,7 +460,7 @@ def verify_all(seed: int = 0, bayes_rule=None) -> list[VerificationResult]:
     grid check; it exists so mutation tests can confirm the battery actually
     rejects a corrupted rule. Failures are reported, never raised.
     """
-    seeds = np.random.SeedSequence(seed).generate_state(8)
+    seeds = np.random.SeedSequence(seed).generate_state(9)
     return [
         _check_mc_identity(int(seeds[0])),
         _check_oracle_dominance(int(seeds[1])),
@@ -439,4 +470,5 @@ def verify_all(seed: int = 0, bayes_rule=None) -> list[VerificationResult]:
         _check_prior_identity(int(seeds[5])),
         _check_penalized_grid(int(seeds[6])),
         _check_range_filter(int(seeds[7])),
+        _check_oracle_residual(int(seeds[8])),
     ]

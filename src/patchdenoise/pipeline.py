@@ -42,10 +42,6 @@ __all__ = [
 RULES = ("oracle", "bayes", "bayes_l1", "bayes_l0", "bm3d_pilot", "lpg")
 SELECTIONS = ("auto", "knn", "cross_similarity")
 _PENALIZED_ALPHA = {"bayes_l1": 1, "bayes_l0": 0}
-# Rules whose lam is a function of the spectrum alone, 0 at s = 0: their
-# filter needs only the ensemble's range (filters.group_sparse_basis). The
-# other rules read coefficients along every direction (filters.eigenbasis).
-_SPECTRAL_RULES = ("bayes", *_PENALIZED_ALPHA)
 
 
 @dataclass(frozen=True)
@@ -199,10 +195,9 @@ def denoise_patch(q, db, cfg: DenoiseConfig, pilot=None, truth=None) -> np.ndarr
     selected = db.patches[idx]
     weights = dbmod.compute_weights(q, selected, cfg.resolved_bandwidth())
     ens = filters.PatchEnsemble(P=selected.T, weights=weights)
-    if cfg.rule in _SPECTRAL_RULES:
-        U, s = filters.group_sparse_basis(ens)
-    else:
-        U, s = filters.eigenbasis(ens)
+    U, s = filters.group_sparse_basis(ens)
+    if cfg.rule == "oracle" and truth is not None:
+        U = filters.oracle_basis(U, truth)  # the truth's residual completes it
     lam = _shrinkage(cfg, U, s, q, pilot, truth)
     return filters.apply_filter(U, lam, q)
 

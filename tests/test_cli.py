@@ -184,6 +184,14 @@ class TestDenoiseCommand:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _resolve_threads(0) == 1
 
+    def test_threads_default_to_one(self):
+        parser = build_parser()
+        for command in (["denoise", "--input", "a", "--db", "b", "--sigma", "5",
+                         "--out", "c"],
+                        ["sweep", "--clean", "a", "--sigmas", "5", "--rules",
+                         "bayes", "--db", "b"]):
+            assert parser.parse_args(command).threads == 1
+
     def test_missing_input_file_is_io_error(self, workspace):
         tmp, _, _, db_dir = workspace
         code = main(_denoise_args(tmp / "nope.pgm", db_dir, tmp / "o.pgm",

@@ -8,7 +8,6 @@ for the fitted prior.
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +18,8 @@ from patchdenoise import filters
 from patchdenoise.filters import (
     PatchEnsemble,
     apply_filter,
-    eigenbasis,
     group_sparse_basis,
+    oracle_basis,
     spectrum_bayes,
     spectrum_bm3d_pilot,
     spectrum_lpg,
@@ -37,6 +36,7 @@ from patchdenoise.oracles import (
 )
 
 EPS = 2.0**-52
+GAMMA = 0.02
 
 
 def _ensemble(rng, d=8, k=20, scale=10.0, uniform=True):
@@ -133,6 +133,14 @@ _SPECTRAL_RULES = {
 }
 
 
+def _full_eigh(ens):
+    """(U, s) from a full d x d eigh of M = P W P^T, formed here, as
+    oracles._check_range_filter forms it."""
+    M = (ens.P * ens.weights) @ ens.P.T
+    s, U = np.linalg.eigh(0.5 * (M + M.T))
+    return U, np.maximum(s, 0.0)
+
+
 def _spectral_filter(basis, rule, sigma, gamma):
     U, s = basis
     return (U * _SPECTRAL_RULES[rule](s, sigma, gamma)) @ U.T
@@ -168,7 +176,7 @@ def _rank_deficient_ensembles(draw):
 
 
 class TestRangeBasis:
-    """group_sparse_basis against the full eigenbasis, within the bound
+    """group_sparse_basis against a full eigh of M, within the bound
     oracles.range_filter_tolerance derives."""
 
     @settings(max_examples=500, deadline=None)
@@ -191,7 +199,7 @@ class TestRangeBasis:
                                    atol=range_filter_tolerance(d, k, T, 1.0)
                                    + (d + k) ** 2 * 2.0**-1074)
 
-        full = eigenbasis(ens)
+        full = _full_eigh(ens)
         shuffled = group_sparse_basis(PatchEnsemble(P=P[:, order], weights=w[order]))
         jump = (gamma + np.sqrt(gamma**2 + 4 * gamma * sigma**2)) / 2
         for rule in _SPECTRAL_RULES:
@@ -209,13 +217,13 @@ class TestRangeBasis:
 # Few distinct values, signed zeros and repeated columns and weights, so
 # examples often rebuild a second moment seen before, or one that differs
 # from it only in the sign of a zero.
-_MEMO_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1 / 3, -7.0])
+_REPEAT_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1 / 3, -7.0])
 
 
 @st.composite
 def _repeating_ensembles(draw):
     d = draw(st.integers(1, 5))
-    base = draw(st.lists(st.lists(_MEMO_VALUES, min_size=d, max_size=d),
+    base = draw(st.lists(st.lists(_REPEAT_VALUES, min_size=d, max_size=d),
                          min_size=1, max_size=3))
     picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=8))
     raw = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=len(picks),
@@ -226,41 +234,36 @@ def _repeating_ensembles(draw):
     return P, w / w.sum()
 
 
-class TestBasisMemo:
+class TestBasisDeterminism:
+    """The range basis is a function of the ensemble's bytes: copies of an
+    ensemble get the same bits, in any thread, and its filter is a full
+    eigh's within the derived bound."""
+
     @settings(max_examples=300, deadline=None)
     @given(_repeating_ensembles())
-    def test_memo_returns_exactly_the_fresh_basis(self, case):
+    def test_copies_get_the_same_bytes_and_the_full_filter(self, case):
         P, w = case
-        U, s = eigenbasis(PatchEnsemble(P=P, weights=w))
-        with mock.patch.object(filters, "_eigh_basis",
-                               filters._eigh_basis.__wrapped__):
-            fresh = eigenbasis(PatchEnsemble(P=P, weights=w))
-        for got, want in zip((U, s), fresh):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            assert got.flags.f_contiguous == want.flags.f_contiguous
-
-        hits = filters._eigh_basis.cache_info().hits
-        again = eigenbasis(PatchEnsemble(P=P.copy(), weights=w.copy()))
-        assert filters._eigh_basis.cache_info().hits == hits + 1
+        ens = PatchEnsemble(P=P, weights=w)
+        U, s = group_sparse_basis(ens)
+        again = group_sparse_basis(PatchEnsemble(P=P.copy(), weights=w.copy()))
         for got, want in zip(again, (U, s)):
-            assert got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-        with pytest.raises(ValueError):
-            U[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            s[0] = 1.0
+        d, k = P.shape
+        P64, w64 = P.astype(np.float64), w.astype(np.float64)
+        T = float(np.einsum("ij,ij->j", P64, P64) @ w64)
+        tol = range_filter_tolerance(d, k, T, spectral_lipschitz("bayes", 5.0, 0.0))
+        full = _full_eigh(PatchEnsemble(P=P64, weights=w64))
+        ours = _spectral_filter((U, s), "bayes", 5.0, 0.0)
+        assert np.abs(ours - _spectral_filter(full, "bayes", 5.0, 0.0)).max() <= tol
 
-    def test_threads_sharing_the_memo_get_the_fresh_basis(self, rng):
-        # 12 distinct matrices through 8 entries: hits, misses and evictions
-        # interleave across more threads than cores.
+    def test_threads_get_the_one_thread_basis(self, rng):
         ensembles = [_ensemble(rng) for _ in range(12)]
-        with mock.patch.object(filters, "_eigh_basis",
-                               filters._eigh_basis.__wrapped__):
-            want = [eigenbasis(ens) for ens in ensembles]
+        want = [group_sparse_basis(ens) for ens in ensembles]
 
         def work(start):
-            return [(j % 12, eigenbasis(ensembles[j % 12]))
+            return [(j % 12, group_sparse_basis(ensembles[j % 12]))
                     for j in range(start, start + 200)]
 
         interval = sys.getswitchinterval()
@@ -274,6 +277,118 @@ class TestBasisMemo:
         for j, (U, s) in (item for part in results for item in part):
             assert U.tobytes() == want[j][0].tobytes()
             assert s.tobytes() == want[j][1].tobytes()
+
+
+@st.composite
+def _separated_ensembles(draw):
+    """An ensemble whose second moment is U0 diag(s) U0^T by construction:
+    r orthonormal directions, eigenvalues at least a factor of 2 apart and
+    the smallest above 2**-12 of the largest, k >= r references with
+    weights within two decades, and a reordering and sign flip of the
+    references; a true patch, a pilot and a query, and a noise level."""
+    d = draw(st.integers(1, 16))
+    r = draw(st.integers(1, min(d, 4)))
+    k = draw(st.integers(r, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.lists(st.integers(0, 12), min_size=r, max_size=r,
+                           unique=True))
+    s = d * 255.0**2 * 2.0 ** -np.sort(np.array(levels, dtype=float))
+    U0 = random_orthonormal(d, int(rng.integers(2**32)))[:, :r]
+    G = random_orthonormal(k, int(rng.integers(2**32)))[:r]  # G G^T = I
+    w = 10.0 ** -rng.uniform(0.0, 2.0, k)
+    w /= w.sum()
+    P = U0 @ (np.sqrt(s)[:, None] * G / np.sqrt(w))  # P W P^T = U0 diag(s) U0^T
+    order = np.array(draw(st.permutations(range(k))))
+    signs = rng.choice([1.0, -1.0], size=k)
+    p, pilot, q = 255.0 * rng.standard_normal((3, d))
+    sigma = draw(st.sampled_from([5.0, 20.0, 50.0]))
+    return P, w, s, order, signs, (p, pilot, q), sigma
+
+
+def _coefficient_lipschitz(s, d, v_norm, sigma):
+    """Lipschitz constant in M, near M, of the filter of bm3d_pilot, lpg and
+    oracle (on oracle_basis) that reads the coefficients of a vector of norm
+    v_norm, when M's nonzero eigenvalues s are simple.
+
+    By Davis-Kahan, a perturbation E of M moves the unit eigenvector of s_i
+    by at most 2 sqrt(2) ||E|| / g_i, g_i the distance from s_i to the rest
+    of M's spectrum (0 included when r < d). A direction u moving by delta
+    moves lam u u^T by at most (2 + 2 v_norm / sigma) delta, as the three
+    rules have |dlam / da| <= 2 / sigma in the coefficient a = u^T v. The
+    oracle's unit residual moves by at most 2 v_norm / ||r|| times the
+    movement of U U^T, at most 2 sum delta_i, with lam <= ||r||^2 / sigma^2,
+    and its coefficient ||r|| by at most v_norm times it: 12 v_norm / sigma
+    sum delta_i more in all. Two perturbed bases are compared, so twice.
+    """
+    others = [np.delete(np.append(s, 0.0) if len(s) < d else s, i)
+              for i in range(len(s))]
+    gaps = np.array([np.abs(o - s_i).min() if len(o) else np.inf
+                     for s_i, o in zip(s, others)])
+    return 2 * (2 + 14 * v_norm / sigma) * 2 * np.sqrt(2) * np.sum(1 / gaps)
+
+
+class TestFilterInvariance:
+    """On the range there is no null-space basis left to pick: every rule's
+    filter is invariant to the order of the references and to each one's
+    sign, within oracles.range_filter_tolerance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_separated_ensembles())
+    def test_every_rule_ignores_reference_order_and_sign(self, case):
+        P, w, s, order, signs, (p, pilot, q), sigma = case
+        d, k = P.shape
+        T = float(s.sum())
+
+        def filters_of(ens):
+            U, s_ens = group_sparse_basis(ens)
+            assert U.shape == (d, len(s))
+            Uo = oracle_basis(U, p)
+            pairs = {"oracle": (Uo, spectrum_oracle(Uo, p, sigma)),
+                     "bm3d_pilot": (U, spectrum_bm3d_pilot(U, pilot, sigma)),
+                     "lpg": (U, spectrum_lpg(U, q, sigma))}
+            pairs.update((rule, (U, lam(s_ens, sigma, GAMMA)))
+                         for rule, lam in _SPECTRAL_RULES.items())
+            return {rule: (U * lam) @ U.T for rule, (U, lam) in pairs.items()}
+
+        ours = filters_of(PatchEnsemble(P=P, weights=w))
+        theirs = filters_of(PatchEnsemble(P=P[:, order] * signs[order],
+                                          weights=w[order]))
+        vectors = {"oracle": p, "bm3d_pilot": pilot, "lpg": q}
+        jump = (GAMMA + np.sqrt(GAMMA**2 + 4 * GAMMA * sigma**2)) / 2
+        for rule, F in ours.items():
+            if rule in vectors:
+                L = _coefficient_lipschitz(s, d, np.linalg.norm(vectors[rule]),
+                                           sigma)
+            elif rule == "bayes_l0" and np.any(
+                    np.abs(s - jump) <= 4 * (4 * d + 3 * k + 3) * EPS * T):
+                continue  # the hard threshold may fall either way
+            else:
+                L = 2 * spectral_lipschitz(rule, sigma, GAMMA)
+            tol = range_filter_tolerance(d, k, T, L)
+            assert np.abs(F - theirs[rule]).max() <= tol, rule
+
+
+class TestOracleBasis:
+    def test_residual_completes_the_true_patch(self, rng):
+        U = random_orthonormal(8, 41)[:, :3]
+        p = 50.0 * rng.standard_normal(8)
+        Uo = oracle_basis(U, p)
+        assert Uo.shape == (8, 4)
+        np.testing.assert_array_equal(Uo[:, :3], U)
+        np.testing.assert_allclose(Uo.T @ Uo, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(Uo @ (Uo.T @ p), p, rtol=1e-14)
+
+    def test_patch_in_the_span_adds_no_direction(self, rng):
+        U = random_orthonormal(8, 42)[:, :3]
+        for p in (U @ (50.0 * rng.standard_normal(3)), np.zeros(8)):
+            assert oracle_basis(U, p) is U
+        square = random_orthonormal(8, 43)
+        assert oracle_basis(square, rng.standard_normal(8)) is square
+
+    def test_empty_range_takes_the_patch_direction(self, rng):
+        p = rng.standard_normal(8)
+        Uo = oracle_basis(np.zeros((8, 0)), p)
+        np.testing.assert_allclose(Uo[:, 0], p / np.linalg.norm(p), rtol=1e-15)
 
 
 class TestLocalPrior:
@@ -510,7 +625,7 @@ class TestApplyFilter:
 
 
 class TestEnsembleValidation:
-    @pytest.mark.parametrize("basis", [group_sparse_basis, eigenbasis])
+    @pytest.mark.parametrize("basis", [group_sparse_basis, _full_eigh])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_ensemble_rejected_before_either_basis(self, rng, basis,
                                                                bad):

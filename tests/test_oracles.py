@@ -151,7 +151,7 @@ def default_battery(verify_runs):
 class TestVerifyAll:
     def test_default_battery_passes(self, default_battery):
         results = default_battery
-        assert len(results) == 8
+        assert len(results) == 9
         assert all(r["passed"] for r in results), [
             r["name"] for r in results if not r["passed"]]
 
@@ -177,6 +177,15 @@ class TestVerifyAll:
         assert not by_name["range-filter-agreement"].passed
         assert all(r.passed for r in by_name.values()
                    if r.name != "range-filter-agreement")
+
+    def test_missing_residual_direction_detected(self, monkeypatch):
+        # Without the residual, the oracle loses to the oracle on a random
+        # completion of the range.
+        monkeypatch.setattr(filters, "oracle_basis", lambda U, p_true: U)
+        by_name = {r.name: r for r in verify_all(0)}
+        assert not by_name["oracle-residual-dominance"].passed
+        assert all(r.passed for r in by_name.values()
+                   if r.name != "oracle-residual-dominance")
 
     def test_results_serialize(self, default_battery):
         # The JSON entries are VerificationResult.to_dict() payloads.

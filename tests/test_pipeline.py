@@ -290,54 +290,44 @@ class TestDenoiseImage:
         assert len(db) > cfg.pool_size
         assert kept and max(kept) < len(db)
 
-    def test_basis_memo_changes_no_output_and_hits_on_flat_regions(
-            self, tiny_scene, monkeypatch):
-        # tiny_scene is flat 4x4 blocks, so its flat queries select the same
-        # rows with equal weights and build byte-identical second moments.
-        # The memo serves the full eigenbasis, which only the rules that
-        # read coefficients use.
-        clean, db = tiny_scene
-        noisy = add_gaussian_noise(clean, 12.0, 15)
-        cfg = _tiny_cfg(sigma=12.0, rule="lpg")
-        filters._eigh_basis.cache_clear()
-        memo = [denoise_image(noisy, db, cfg, threads=t)[0] for t in (1, 2)]
-        assert filters._eigh_basis.cache_info().hits > 0
-        monkeypatch.setattr(filters, "_eigh_basis",
-                            filters._eigh_basis.__wrapped__)
-        for threads, out in zip((1, 2), memo):
-            fresh, _ = denoise_image(noisy, db, cfg, threads=threads)
-            assert fresh.tobytes() == out.tobytes()
-
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_range_basis_serves_the_spectral_rules_only(self, tiny_scene,
-                                                        monkeypatch, threads):
-        # With group_sparse_basis swapped for the full eigenbasis, the rules
-        # that read coefficients give the same bytes (they never call it),
-        # and the spectral rules move by at most the derived filter bound
-        # times the largest query norm, in either pass.
+    def test_range_basis_serves_every_rule(self, tiny_scene, monkeypatch,
+                                           threads):
+        # Every rule takes group_sparse_basis, once per patch of either pass.
+        # With it swapped for a full eigh of P W P^T, the spectral rules
+        # move by at most the derived filter bound times the largest query
+        # norm, in either pass.
         clean, db = tiny_scene
         sigma, gamma = 12.0, 0.02
+        spectral = ("bayes", "bayes_l1", "bayes_l0")
         noisy = add_gaussian_noise(clean, sigma, 15)
         bound = oracles.range_filter_tolerance(
             16, 8, float(db.norms.max()),
             max(oracles.spectral_lipschitz(rule, sigma, gamma)
-                for rule in pipeline._SPECTRAL_RULES))
+                for rule in spectral))
         bound *= 4.0 * np.abs(noisy).max()  # >= the norm of any 4x4 patch
-        outputs = {}
+        patches = sum(len(plan_grid(32, 32, 4, stride)) for stride in (3, 2))
+        calls, basis = [], filters.group_sparse_basis
+
+        def full_eigh(ens):
+            M = (ens.P * ens.weights) @ ens.P.T
+            s, U = np.linalg.eigh(0.5 * (M + M.T))
+            return U, np.maximum(s, 0.0)
+
         for rule in pipeline.RULES:
             cfg = _tiny_cfg(sigma=sigma, gamma=gamma, rule=rule)
-            outputs[rule] = denoise_image(noisy, db, cfg, clean=clean,
-                                          threads=threads)[0]
-        with monkeypatch.context() as patch:
-            patch.setattr(filters, "group_sparse_basis", filters.eigenbasis)
-            for rule in pipeline.RULES:
-                cfg = _tiny_cfg(sigma=sigma, gamma=gamma, rule=rule)
-                full, _ = denoise_image(noisy, db, cfg, clean=clean,
+            with monkeypatch.context() as patch:
+                patch.setattr(filters, "group_sparse_basis",
+                              lambda ens: calls.append(rule) or basis(ens))
+                ours, _ = denoise_image(noisy, db, cfg, clean=clean,
                                         threads=threads)
-                if rule in pipeline._SPECTRAL_RULES:
-                    assert np.abs(full - outputs[rule]).max() <= bound, rule
-                else:
-                    assert full.tobytes() == outputs[rule].tobytes(), rule
+            assert calls.count(rule) == patches, rule
+            if rule in spectral:
+                with monkeypatch.context() as patch:
+                    patch.setattr(filters, "group_sparse_basis", full_eigh)
+                    full, _ = denoise_image(noisy, db, cfg, clean=clean,
+                                            threads=threads)
+                assert np.abs(full - ours).max() <= bound, rule
 
     def test_pool_fold_by_twin_id_is_the_fold_by_value(self, tiny_scene,
                                                         monkeypatch):
@@ -458,6 +448,28 @@ for selection in ("auto", "cross_similarity"):
         hi = max(p.max() for p in patches)
         assert out.min() >= lo - 1e-9
         assert out.max() <= hi + 1e-9
+
+
+@pytest.fixture(scope="module")
+def crossref_psnr(clean_scene, scene_db):
+    """PSNR of each rule under cross-similarity selection on the seed-7
+    scene at sigma 50, the setting of the crossref128 benchmark."""
+    noisy = add_gaussian_noise(clean_scene, 50.0, 7)
+    return {rule: denoise_image(noisy, scene_db,
+                                DenoiseConfig(sigma=50.0, rule=rule,
+                                              selection="cross_similarity"),
+                                clean=clean_scene)[1].psnr_denoised
+            for rule in ("bayes", "bm3d_pilot", "oracle")}
+
+
+class TestCrossSimilarityScene:
+    def test_pilot_rule_scores_within_a_decibel_of_bayes(self, crossref_psnr):
+        # A basis whose null-space directions the coefficient rules read
+        # scored the pilot rule some 11 dB under bayes here.
+        assert crossref_psnr["bm3d_pilot"] >= crossref_psnr["bayes"] - 1.0
+
+    def test_oracle_scores_at_least_the_pilot_rule(self, crossref_psnr):
+        assert crossref_psnr["oracle"] >= crossref_psnr["bm3d_pilot"]
 
 
 def _fresh_copy(db):
