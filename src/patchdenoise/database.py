@@ -33,7 +33,6 @@ __all__ = [
     "refine_cross_similarity",
     "refine_first_pass",
     "cross_similarity_scores",
-    "first_pass_scores",
     "k_smallest",
     "half_norms",
     "ScreenIndex",
@@ -235,11 +234,6 @@ def cross_similarity_scores(c: np.ndarray, sums: np.ndarray, tau: float) -> np.n
     return np.asarray(c, dtype=np.float64) + tau * np.asarray(sums, dtype=np.float64)
 
 
-def first_pass_scores(c: np.ndarray, e: np.ndarray, tau: float) -> np.ndarray:
-    """Linear selection objective: query distance plus tau * pilot distance."""
-    return np.asarray(c, dtype=np.float64) + tau * np.asarray(e, dtype=np.float64)
-
-
 def _check_tau(tau: float) -> None:
     if not 0 <= tau < np.inf:  # NaN fails too
         raise ValueError(f"tau must be >= 0 and finite, got {tau}")
@@ -315,8 +309,7 @@ def refine_first_pass(
     pool, c = _candidate_pool(db, q, pool_size, k)
     # Every row's pilot distance, then the pool's: a screened database holds
     # a few rows beyond the pool, fewer than gathering the pool costs.
-    e = _query_distances(db, pbar)[pool]
-    scores = first_pass_scores(c, e, tau)
+    scores = c + tau * _query_distances(db, pbar)[pool]
     return pool[np.lexsort((pool, scores))[:k]]
 
 
@@ -324,7 +317,7 @@ def refine_first_pass(
 # Screening: a block GEMM bounds each query's search to a few candidate rows
 # ---------------------------------------------------------------------------
 
-_CHUNK_ROWS = 1024  # rows hashed, compared or gathered per step: about 0.5 MB
+_CHUNK_ROWS = 1024  # rows checked, compared or gathered per step: about 0.5 MB
 SCREEN_BLOCK = 16  # queries per screening GEMM: 16 x r float32 scores
 # R + ‖q‖ below this keeps every screen value in float32 range.
 _GUARD = 2.0**60
@@ -334,43 +327,36 @@ _NORM_LIMIT = 2.0**1020
 _MAX_DIM = 2**10  # patches up to 32 x 32: screen's tol assumes d·2**-24 <= 2**-14
 
 
-def _row_keys(patches: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row's values; +0.0 folds -0.0 into 0.0."""
-    n, d = patches.shape
-    mult = np.random.default_rng(0).integers(1, 2**63, d, dtype=np.uint64) | 1
-    keys = np.empty(n, dtype=np.uint64)
-    for start in range(0, n, _CHUNK_ROWS):
-        bits = (patches[start : start + _CHUNK_ROWS] + 0.0).view(np.uint64)
-        mixed = (bits ^ (bits >> 29)) * mult  # wraps modulo 2**64
-        keys[start : start + _CHUNK_ROWS] = (mixed ^ (mixed >> 32)).sum(axis=1)
-    return keys
-
-
 def _twin_ids(patches: np.ndarray) -> np.ndarray:
     """Each row's lowest index among the rows identical to it (-0.0 == 0.0).
 
-    Rows are sorted by (_row_keys, index) once, and each is compared value by
-    value with the head of its run of equal keys. Rows equal to it take the
-    head's index; the rest, put in the run by a hash collision, go round again
-    on their own, in the same order. Twins share a key and settle together, in
-    the round where one of them heads the run: the lowest of their indices.
-    Every round settles its run heads, so the loop ends even on NaN rows.
+    One stable sort of each row's bytes as one key puts rows with equal
+    bytes together, in index order; +0.0 folds -0.0 into 0.0 first, on a
+    copy made only when some zero is -0.0. Each row is then compared by
+    value with its neighbour in that order, _CHUNK_ROWS at a time, and every
+    row of a run of equal rows takes its head's index. NaN equals no row,
+    itself included, so a row that holds one heads its own run. patches
+    must be C-ordered float64, as a Database's rows are.
     """
-    keys = _row_keys(patches)
-    ids = np.arange(len(patches))
-    order = np.argsort(keys, kind="stable")
-    while len(order):
-        runs = keys[order]
-        head = order[np.searchsorted(runs, runs)]
-        tail = np.flatnonzero(head != order)
-        same = np.empty(len(tail), dtype=bool)
-        for start in range(0, len(tail), _CHUNK_ROWS):
-            at = tail[start : start + _CHUNK_ROWS]
-            same[start : start + len(at)] = np.all(
-                patches[order[at]] == patches[head[at]], axis=1)
-        ids[order[tail[same]]] = head[tail[same]]
-        order = order[tail[~same]]
+    n, d = patches.shape
+    if any(np.any((part == 0) & np.signbit(part)) for part in _chunks(patches)):
+        patches = patches + 0.0
+    order = np.argsort(patches.view(np.dtype((np.void, 8 * d)))[:, 0],
+                       kind="stable")
+    heads = np.ones(n, dtype=bool)  # where a run of equal rows starts
+    for start in range(0, n - 1, _CHUNK_ROWS):
+        run = patches.take(order[start : start + _CHUNK_ROWS + 1], axis=0)
+        heads[start + 1 : start + len(run)] = (run[1:] != run[:-1]).any(axis=1)
+    starts = np.flatnonzero(heads)
+    ids = np.empty(n, dtype=np.intp)
+    ids[order] = np.repeat(order[starts], np.diff(starts, append=n))
     return ids
+
+
+def _chunks(rows: np.ndarray):
+    """rows, _CHUNK_ROWS at a time."""
+    return (rows[start : start + _CHUNK_ROWS]
+            for start in range(0, len(rows), _CHUNK_ROWS))
 
 
 def half_norms(db: Database, m: int) -> np.ndarray:
@@ -570,7 +556,7 @@ def database_quality(db: Database, clean) -> float:
 def _nearest(rows: np.ndarray, q: np.ndarray) -> float:
     """min ‖x − q‖ over rows, from row differences, _CHUNK_ROWS rows at a time."""
     best = np.inf
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        gap = rows[start : start + _CHUNK_ROWS] - q
+    for part in _chunks(rows):
+        gap = part - q
         best = min(best, np.vecdot(gap, gap).min())
     return float(np.sqrt(best))

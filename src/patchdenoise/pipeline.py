@@ -150,6 +150,11 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
+def _check_k(cfg, db) -> None:
+    if cfg.k > len(db):
+        raise ValueError(f"database has {len(db)} patches, need k={cfg.k}")
+
+
 def _select_indices(q, db, cfg, pilot):
     selection = cfg.selection
     if selection == "auto":  # refine around the pilot once there is one
@@ -188,8 +193,7 @@ def denoise_patch(q, db, cfg: DenoiseConfig, pilot=None, truth=None) -> np.ndarr
     'bm3d_pilot' shrinks toward (the query without it). truth is required
     for the 'oracle' rule.
     """
-    if cfg.k > len(db):
-        raise ValueError(f"database has {len(db)} patches, need k={cfg.k}")
+    _check_k(cfg, db)
     q = np.asarray(q, dtype=np.float64)
     idx = _select_indices(q, db, cfg, pilot)
     selected = db.patches[idx]
@@ -267,6 +271,7 @@ def denoise_image(
     if db.patch_size != cfg.patch_size:
         raise ValueError(f"database patch size {db.patch_size} != "
                          f"configured patch size {cfg.patch_size}")
+    _check_k(cfg, db)
 
     index = dbmod._screen_of(db, min(cfg.pool_size, len(db)))
 

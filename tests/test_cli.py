@@ -142,6 +142,17 @@ class TestDenoiseCommand:
         assert passes == []
         assert not out.exists()
 
+    def test_database_smaller_than_k_fails_before_the_screen(
+            self, workspace, capsys, screen_builds):
+        tmp, _, noisy_path, db_dir = workspace
+        out, report = tmp / "o.pgm", tmp / "r.json"
+        code = main(_denoise_args(noisy_path, db_dir, out, report,
+                                  k=2000, pool=2000))
+        assert code == 2
+        assert "database has 1682 patches, need k=2000" in capsys.readouterr().err
+        assert screen_builds == []
+        assert not out.exists() and not report.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("stride1", 9, "stride 9 > patch_size 4 breaks coverage"),
         ("patch-size", 0, "patch_size must be >= 1"),

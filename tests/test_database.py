@@ -26,7 +26,6 @@ from patchdenoise.database import (
     compute_weights,
     cross_similarity_scores,
     database_quality,
-    first_pass_scores,
     half_norms,
     k_smallest,
     knn,
@@ -372,16 +371,6 @@ class TestScreen:
         # Copies of `row` sit at 1, 2, 4, 5, 6; of `other` at 0, 3, 7.
         np.testing.assert_array_equal(np.flatnonzero(np.isinf(norms)), [4, 5, 6, 7])
 
-    def test_hash_collisions_never_cut_a_distinct_row(self, monkeypatch):
-        # Every key collides: the rows are compared by value, so the cut is
-        # the one distinct keys give.
-        monkeypatch.setattr(database, "_row_keys",
-                            lambda patches: np.zeros(len(patches), np.uint64))
-        a, b = np.zeros(4), np.ones(4)
-        norms = half_norms(Database(patches=np.array([a, b, a, a, b]),
-                                    patch_size=2), 1)
-        np.testing.assert_array_equal(np.flatnonzero(np.isinf(norms)), [2, 3, 4])
-
     def test_screen_keeps_about_m_rows(self, rng):
         db = _random_db(rng, n=2000)
         queries = 10.0 * rng.standard_normal((4, db.patches.shape[1]))
@@ -569,14 +558,13 @@ _TWIN_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan])
 
 @st.composite
 def _twin_cases(draw):
-    """(rows, buckets, pool): rows drawn from a few distinct rows, how many
-    distinct _row_keys the test leaves, so that distinct rows collide, and
-    the rows in another order."""
+    """(rows, pool): rows drawn from a few distinct rows, and the rows in
+    another order."""
     vector = st.lists(_TWIN_VALUES, min_size=4, max_size=4)
     base = draw(st.lists(vector, min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=30))
     pool = np.array(draw(st.permutations(range(len(picks)))))
-    return np.array([base[i] for i in picks]), draw(st.integers(1, 3)), pool
+    return np.array([base[i] for i in picks]), pool
 
 
 def _fold_by_value(rows):
@@ -591,31 +579,46 @@ class TestTwins:
     @settings(max_examples=300, deadline=None)
     @given(_twin_cases())
     @example((np.array([[0.0, -0.0, 1, 1], [np.nan, 1, 1, 1], [-0.0, 0.0, 1, 1],
-                        [np.nan, 1, 1, 1]]), 1, np.array([2, 0, 3, 1])))
+                        [np.nan, 1, 1, 1]]), np.array([2, 0, 3, 1])))
+    @example((np.array([[1.0, -0.0, 0, 2], [1.0, 0.0, -0.0, 2],
+                        [-1.0, 0, 0, 2], [1.0, 0.0, 0.0, 2]]), np.arange(4)))
     def test_ids_name_the_lowest_identical_row(self, case):
-        rows, buckets, pool = case
-        keys = database._row_keys
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(database, "_row_keys",
-                          lambda patches: keys(patches) % np.uint64(buckets))
-            # NaN equals no row, itself included: each such row is its own.
+        rows, pool = case
+        # NaN equals no row, itself included: each such row is its own.
+        ids = database._twin_ids(rows)
+        equal = np.all(rows[:, None] == rows[None, :], axis=2)
+        np.testing.assert_array_equal(ids[:, None] == ids[None, :],
+                                      equal | np.eye(len(rows), dtype=bool))
+        lowest = [np.flatnonzero(row)[0] if row.any() else i
+                  for i, row in enumerate(equal)]
+        np.testing.assert_array_equal(ids, lowest)
+        db = Database(patches=rows, patch_size=2)
+        if np.isnan(rows).any():
+            with pytest.raises(ValueError, match="finite"):
+                db.twins
+            return
+        np.testing.assert_array_equal(db.twins, ids)
+        heads, group = database._twin_groups(db.twins[pool])
+        expected_heads, expected_group = _fold_by_value(rows[pool])
+        np.testing.assert_array_equal(heads, expected_heads)
+        np.testing.assert_array_equal(group, expected_group)
+
+    def test_rows_are_never_all_copied(self, rng):
+        # Without a -0.0 the rows are sorted through a byte view and compared
+        # a chunk at a time: the peak is a few index arrays and a chunk of
+        # rows, not the rows' 10 MB.
+        rows = np.round(rng.standard_normal((20_000, 64)))
+        rows[::3] = rows[1::3][: len(rows[::3])]  # twins to fold
+        rows += 0.0
+        tracemalloc.start()
+        try:
             ids = database._twin_ids(rows)
-            equal = np.all(rows[:, None] == rows[None, :], axis=2)
-            np.testing.assert_array_equal(ids[:, None] == ids[None, :],
-                                          equal | np.eye(len(rows), dtype=bool))
-            lowest = [np.flatnonzero(row)[0] if row.any() else i
-                      for i, row in enumerate(equal)]
-            np.testing.assert_array_equal(ids, lowest)
-            db = Database(patches=rows, patch_size=2)
-            if np.isnan(rows).any():
-                with pytest.raises(ValueError, match="finite"):
-                    db.twins
-                return
-            np.testing.assert_array_equal(db.twins, ids)
-            heads, group = database._twin_groups(db.twins[pool])
-            expected_heads, expected_group = _fold_by_value(rows[pool])
-            np.testing.assert_array_equal(heads, expected_heads)
-            np.testing.assert_array_equal(group, expected_group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes / 4
+        index = np.arange(len(rows))
+        np.testing.assert_array_equal(ids, index - (index % 3 == 1))
 
 
 def _cross_similarity_with_cdist(db, q, m, k, tau):
@@ -794,7 +797,7 @@ class TestCrossSimilarityRefinement:
         np.testing.assert_array_equal(knn(db, q, k), np.argsort(c, kind="stable")[:k])
         pool = np.argsort(c, kind="stable")[:m]
         e = cdist(pilot[None, :], db.patches[pool])[0]
-        expected = pool[np.lexsort((pool, first_pass_scores(c[pool], e, tau)))[:k]]
+        expected = pool[np.lexsort((pool, c[pool] + tau * e))[:k]]
         np.testing.assert_array_equal(refine_first_pass(db, q, pilot, m, k, tau),
                                       expected)
         # The pool sums add the same exact distances in another order.
@@ -973,9 +976,7 @@ class TestFirstPassRefinement:
 
         dists = np.linalg.norm(db.patches - q, axis=1)
         pool = np.argsort(dists, kind="stable")[:m]
-        scores = first_pass_scores(
-            dists[pool], np.linalg.norm(db.patches[pool] - pbar, axis=1), tau
-        )
+        scores = dists[pool] + tau * np.linalg.norm(db.patches[pool] - pbar, axis=1)
         selected_value = sum(scores[np.where(pool == j)[0][0]] for j in selected)
         for subset in combinations(range(m), k):
             assert selected_value <= sum(scores[j] for j in subset) + 1e-12

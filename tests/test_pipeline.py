@@ -87,7 +87,7 @@ class TestDenoisePatchContracts:
 
     def test_database_smaller_than_k_rejected(self, rng):
         db = Database(patches=rng.standard_normal((5, 16)), patch_size=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="database has 5 patches, need k=8"):
             denoise_patch(rng.standard_normal(16), db, _tiny_cfg(k=8, pool_size=8))
 
 
@@ -411,6 +411,17 @@ for selection in ("auto", "cross_similarity"):
                           _tiny_cfg(rule="oracle"),
                           clean=scene[: clean_shape[0], : clean_shape[1]])
         assert passes == []
+
+    def test_database_smaller_than_k_rejected_before_any_work(
+            self, tiny_scene, screen_builds, monkeypatch):
+        clean, db = tiny_scene
+        passes = []
+        monkeypatch.setattr(pipeline, "_run_pass",
+                            lambda *args: passes.append(args))
+        small = Database(patches=db.patches[:4], patch_size=4)
+        with pytest.raises(ValueError, match="database has 4 patches, need k=40"):
+            denoise_image(clean, small, _tiny_cfg(k=40, pool_size=40))
+        assert screen_builds == [] and passes == []
 
     def test_database_patch_size_must_match(self, tiny_scene):
         clean, db = tiny_scene
