@@ -81,7 +81,7 @@ def _add_pipeline_args(sub):
     _setting(sub, "--stride1", "stride_pass1", type=int)
     _setting(sub, "--stride2", "stride_pass2", type=int)
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads (0 = one per core this process may use)")
+                     help="threads; any count over 1 uses two (0 = one per core)")
     sub.add_argument("--timing", action="store_true",
                      help="write real wall-clock timings into output files")
 

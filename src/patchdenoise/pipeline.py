@@ -3,9 +3,9 @@
 Pass 1 runs denoise_patch without a pilot on a coarse grid. Pass 2 re-runs
 it on a finer grid with the pass-1 output as the pilot, which refines the
 'auto' selection and sets the 'bm3d_pilot' shrinkage.
-Given fixed inputs the output is bit-identical, including under
-multi-threaded execution (per-patch work is independent and merged in a
-fixed order).
+Given fixed inputs the output is bit-identical at every thread count: a
+pass screens and filters the same blocks in the same order, on at most two
+threads, as per-patch work holds the GIL and only the screen overlaps it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class DenoiseConfig:
         for name in ("patch_size", "stride_pass1", "stride_pass2", "k",
                      "pool_size", "passes"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.sigma < np.inf:  # NaN fails too
             raise ValueError(
@@ -212,7 +212,8 @@ def denoise_patch(q, db, cfg: DenoiseConfig, pilot=None, truth=None) -> np.ndarr
 
 
 def _check_threads(threads) -> None:
-    if not isinstance(threads, numbers.Integral) or threads < 1:
+    if (not isinstance(threads, numbers.Integral) or isinstance(threads, bool)
+            or threads < 1):
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
 
 
@@ -224,16 +225,20 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
     database._screen_of keeps with db, and each patch searches only its
     candidate rows; they hold its exact m = min(pool_size, len(db)) nearest
     in index order, so the estimate is the one the whole database gives.
+    threads >= 2 has one worker filter each block while the caller screens the next.
     """
     h, w = noisy.shape
     p = cfg.patch_size
     locs = plan_grid(w, h, p, stride)
     estimates = np.empty((len(locs), p * p))
 
-    def block(start):  # fills its own rows of estimates
+    def screened(start):  # (index, query, candidate rows) per block patch
         ix = range(start, min(start + dbmod.SCREEN_BLOCK, len(locs)))
         queries = [extract_patch(noisy, locs[i], p) for i in ix]
-        for i, q, cand in zip(ix, queries, dbmod.screen(index, queries)):
+        return list(zip(ix, queries, dbmod.screen(index, queries)))
+
+    def filtered(block):  # fills the block's rows of estimates
+        for i, q, cand in block:
             pilot = truth = None
             if pilot_image is not None:
                 pilot = extract_patch(pilot_image, locs[i], p)
@@ -242,12 +247,16 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
             sub = db if cand is None else db.take(cand)
             estimates[i] = denoise_patch(q, sub, cfg, pilot=pilot, truth=truth)
 
-    starts = range(0, len(locs), dbmod.SCREEN_BLOCK)
+    blocks = map(screened, range(0, len(locs), dbmod.SCREEN_BLOCK))
     if threads <= 1:
-        list(map(block, starts))
+        list(map(filtered, blocks))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(block, starts))  # re-raises a block's error
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            pending = worker.submit(filtered, next(blocks))  # never empty
+            for block in blocks:  # screened while the worker filters the last
+                pending.result()  # re-raises that block's error
+                pending = worker.submit(filtered, block)
+            pending.result()
     return aggregate(estimates, locs, w, h)
 
 
@@ -257,6 +266,7 @@ def denoise_image(
     """Run the one- or two-pass pipeline; returns the estimate and a report.
 
     The clean image is used only for metrics and for the 'oracle' rule.
+    threads >= 2 runs each pass on two threads, with the same output.
     """
     _check_threads(threads)
     noisy = as_image(noisy)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -135,7 +137,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("k", 40.0), ("pool_size", 200.5), ("patch_size", 8.0),
         ("stride_pass1", 6.0), ("stride_pass2", np.float64(4)), ("passes", 2.0),
-        ("k", "40"),
+        ("k", "40"), ("k", True), ("passes", True),
     ])
     def test_rejects_non_integral_integer_settings(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -215,8 +217,8 @@ class TestDenoiseImage:
         serial = screened_blocks(1)
         counts = [len(plan_grid(32, 32, 4, stride)) for stride in (3, 2)]
         assert len(serial) == sum(-(-n // dbmod.SCREEN_BLOCK) for n in counts)
-        # Worker threads may screen in any order, but never other blocks.
-        assert sorted(screened_blocks(2)) == sorted(serial)
+        # The caller screens every block, in grid order, at any thread count.
+        assert screened_blocks(2) == serial
 
     def test_single_pass_config(self, tiny_scene):
         clean, db = tiny_scene
@@ -461,6 +463,105 @@ for selection in ("auto", "cross_similarity"):
         assert out.max() <= hi + 1e-9
 
 
+class TestPassThreads:
+    """Where a pass's screens and per-patch filters run, and in what order."""
+
+    @staticmethod
+    def spied_run(tiny_scene, monkeypatch, threads):
+        """denoise_image with spies; returns its events and the thread count
+        before it. An event is (kind, thread, queries, thread count): a
+        screen's at its start, a patch's once denoise_patch has returned."""
+        clean, db = tiny_scene
+        noisy = add_gaussian_noise(clean, 15.0, 6)
+        screen, patch = dbmod.screen, pipeline.denoise_patch
+        events = []
+
+        def screen_spy(index, queries):
+            events.append(("screen", threading.get_ident(),
+                           np.stack(queries).tobytes(), threading.active_count()))
+            return screen(index, queries)
+
+        def patch_spy(*args, **kwargs):
+            count = threading.active_count()
+            out = patch(*args, **kwargs)
+            events.append(("patch", threading.get_ident(), None, count))
+            return out
+
+        monkeypatch.setattr(dbmod, "screen", screen_spy)
+        monkeypatch.setattr(pipeline, "denoise_patch", patch_spy)
+        before = threading.active_count()
+        denoise_image(noisy, db, _tiny_cfg(sigma=15.0), threads=threads)
+        monkeypatch.undo()
+        return events, before
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_caller_screens_in_order_while_one_worker_filters(
+            self, tiny_scene, monkeypatch, threads):
+        serial, _ = self.spied_run(tiny_scene, monkeypatch, 1)
+        events, _ = self.spied_run(tiny_scene, monkeypatch, threads)
+        screens = [e for e in events if e[0] == "screen"]
+        assert [e[2] for e in screens] == [e[2] for e in serial if e[0] == "screen"]
+        assert {e[1] for e in screens} == {threading.get_ident()}
+        (worker,) = {e[1] for e in events if e[0] == "patch"}
+        assert worker != threading.get_ident()
+        # Block b's screen starts only once blocks 0 .. b - 2 are filtered.
+        sizes = [len(e[2]) // (16 * 8) for e in screens]  # 4 x 4 float64 queries
+        filtered, b = 0, 0
+        for kind, *_ in events:
+            if kind == "patch":
+                filtered += 1
+            else:
+                assert filtered >= sum(sizes[:max(b - 1, 0)])
+                b += 1
+        assert filtered == sum(sizes)
+
+    def test_a_short_switch_interval_changes_no_bit(self, tiny_scene):
+        clean, db = tiny_scene
+        noisy = add_gaussian_noise(clean, 15.0, 6)
+        cfg = _tiny_cfg(sigma=15.0, selection="cross_similarity", rule="bm3d_pilot")
+        serial, _ = denoise_image(noisy, db, cfg, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads trade the GIL constantly
+        try:
+            threaded, _ = denoise_image(noisy, db, cfg, threads=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.tobytes() == serial.tobytes()
+
+    def test_one_thread_starts_no_thread(self, tiny_scene, monkeypatch):
+        events, before = self.spied_run(tiny_scene, monkeypatch, 1)
+        assert {e[1] for e in events} == {threading.get_ident()}
+        assert {e[3] for e in events} == {before}
+
+    def test_many_threads_start_one_worker(self, tiny_scene, monkeypatch):
+        events, before = self.spied_run(tiny_scene, monkeypatch, 64)
+        assert max(e[3] for e in events) == before + 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("module, name, failing_call", [
+        (dbmod, "screen", 3), (pipeline, "denoise_patch", 40)])
+    def test_an_error_surfaces_and_leaves_no_thread(
+            self, tiny_scene, monkeypatch, module, name, failing_call):
+        clean, db = tiny_scene
+        noisy = add_gaussian_noise(clean, 15.0, 6)
+        original, calls = getattr(module, name), []
+
+        class Injected(Exception):
+            pass
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise Injected(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, failing)
+        before = threading.active_count()
+        with pytest.raises(Injected):
+            denoise_image(noisy, db, _tiny_cfg(sigma=15.0), threads=2)
+        assert threading.active_count() == before
+
+
 @pytest.fixture(scope="module")
 def crossref_psnr(clean_scene, scene_db):
     """PSNR of each rule under cross-similarity selection on the seed-7
@@ -502,7 +603,7 @@ class TestScreenKeptWithDatabase:
                          sigmas=[15.0, 25.0], rules=["bayes", "lpg"])
         assert len(rows) == 4 and screen_builds == [20]
 
-    @pytest.mark.parametrize("threads", [0, -2, 2.5, "2"])
+    @pytest.mark.parametrize("threads", [0, -2, 2.5, "2", True])
     def test_bad_threads_rejected_before_any_work(self, tiny_scene, screen_builds,
                                                   monkeypatch, threads):
         clean, db = tiny_scene
