@@ -2,8 +2,12 @@
 
 The database is an in-memory (n, d) matrix of clean reference patches,
 fixed when the Database is built: its rows are C-ordered, read-only
-float64, so what is derived from them once (row norms, twin ids, the
+float64, so what is derived from them once (row norms, row counts, the
 screen) never goes stale. Queries are read-only too.
+
+Identical rows are one distinct row with a count (Database.counts): a
+search ranks distinct rows and returns each chosen row's lowest index once
+per copy taken.
 
 A search distance is ‖x − q‖ = √max(‖x‖² − 2x·q + ‖q‖², 0) in float64, from
 one BLAS dot product per row (np.vecdot), which reads a contiguous row the
@@ -34,7 +38,6 @@ __all__ = [
     "refine_first_pass",
     "cross_similarity_scores",
     "k_smallest",
-    "half_norms",
     "ScreenIndex",
     "screen_index",
     "screen",
@@ -55,7 +58,7 @@ class Database:
     and load_database_cache's rows do): a view is copied, so that a write
     through its base cannot change the rows.
     Two databases compare equal only when they are the same object.
-    _screen: the screen index of the last m searched, kept by _screen_of.
+    _screen: the screen index, built once by _screen_of.
     """
 
     patches: np.ndarray
@@ -89,18 +92,23 @@ class Database:
         return _read_only(_sq_norms(self.patches))
 
     @cached_property
-    def twins(self) -> np.ndarray:
-        """Each row's twin id, read-only: the lowest index of the rows
-        identical to it (-0.0 == 0.0); a database made by take keeps those
-        of the one it was taken from. Rejects the rows norms rejects."""
+    def counts(self) -> np.ndarray:
+        """Each row's count, read-only (_row_counts); a database made by take
+        keeps those of the one it was taken from. Rejects what norms rejects."""
         self.norms  # raises on NaN, which equals no row, itself included
-        return _read_only(_twin_ids(self.patches))
+        return _read_only(_row_counts(self.patches))
+
+    @cached_property
+    def _copies(self) -> int:
+        """counts.sum(), the copies the rows stand for: len(self) unless take."""
+        return len(self)
 
     def take(self, rows) -> Database:
-        """The database of the given rows, with their norms and twin ids."""
+        """The database of the given rows, with their norms and counts."""
         sub = Database(self.patches[rows], self.patch_size)
+        counts = self.counts[rows]
         vars(sub).update(norms=_read_only(self.norms[rows]),
-                         twins=_read_only(self.twins[rows]))
+                         counts=_read_only(counts), _copies=int(counts.sum()))
         return sub
 
 
@@ -220,13 +228,15 @@ def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
 def knn(db: Database, q, k: int) -> np.ndarray:
     """The k nearest database patches to q by Euclidean distance.
 
-    Returns database indices sorted ascending by distance, ties broken by
-    lower index. A query or row that is not finite, or whose squared norm
-    reaches 2**1020, raises ValueError.
+    Ranks distinct rows by distance, ties broken by lower index, and takes
+    their copies (db.counts) in that order: each chosen row's lowest index
+    once per copy, k in all. A query or row that is not finite, or whose
+    squared norm reaches 2**1020, raises ValueError.
     """
-    if not 1 <= k <= len(db):
-        raise ValueError(f"k must be in [1, {len(db)}], got {k}")
-    return k_smallest(_query_distances(db, q), k)
+    if not 1 <= k <= db._copies:
+        raise ValueError(f"k must be in [1, {db._copies}], got {k}")
+    nearest = k_smallest(_query_distances(db, q), k)
+    return np.repeat(nearest, np.minimum(db.counts[nearest], k))[:k]
 
 
 def cross_similarity_scores(c: np.ndarray, sums: np.ndarray, tau: float) -> np.ndarray:
@@ -240,13 +250,29 @@ def _check_tau(tau: float) -> None:
 
 
 def _candidate_pool(db: Database, q, pool_size: int, k: int):
+    """The pool_size nearest copies, as knn(db, q, pool_size) takes them:
+    the distinct rows, in rank order, their query distances, and the copies
+    taken of each (the last row's may be fewer than its count)."""
     if k > pool_size:
         raise ValueError(f"k ({k}) must not exceed pool_size ({pool_size})")
-    if pool_size > len(db):
-        raise ValueError(f"pool_size ({pool_size}) exceeds database size ({len(db)})")
+    if pool_size > db._copies:
+        raise ValueError(f"pool_size ({pool_size}) exceeds {db._copies} copies")
     dists = _query_distances(db, q)
     pool = k_smallest(dists, pool_size)
-    return pool, dists[pool]
+    copies = db.counts[pool]
+    over = np.cumsum(copies) - pool_size  # >= 0 from the row that fills the pool
+    end = int(np.searchsorted(over, 0)) + 1
+    pool, copies = pool[:end], copies[:end]
+    copies[-1] -= over[end - 1]
+    if not copies.all():  # rows of count 0 follow their lowest-index copy
+        pool, copies = pool[copies > 0], copies[copies > 0]
+    return pool, dists[pool], copies
+
+
+def _take_best(pool: np.ndarray, copies: np.ndarray, scores, k: int) -> np.ndarray:
+    """The k best pool copies by score, ties to the lower database index."""
+    order = np.lexsort((pool, scores))
+    return np.repeat(pool[order], copies[order])[:k]
 
 
 def refine_cross_similarity(
@@ -254,45 +280,34 @@ def refine_cross_similarity(
 ) -> np.ndarray:
     """Select k patches penalizing candidates far from the rest of the pool.
 
-    Restricts to the pool_size nearest candidates, scores each by its query
-    distance plus tau times the sum of its distances to every pool member
-    (_pool_sums), and keeps the k smallest scores. tau = 0 reduces to plain
-    knn; a tau that is NaN, negative or infinite raises ValueError.
+    Restricts to the pool_size nearest copies, scores each distinct row by
+    its query distance plus tau times the sum of its distances to every
+    pool copy (_pool_sums), and takes the k best copies (_take_best). tau =
+    0 reduces to plain knn; a tau that is NaN, negative or infinite raises
+    ValueError.
     """
     _check_tau(tau)
-    pool, c = _candidate_pool(db, q, pool_size, k)
-    scores = cross_similarity_scores(c, _pool_sums(db, pool), tau)
-    # Score ties break by lower database index, not by pool position.
-    return pool[np.lexsort((pool, scores))[:k]]
+    pool, c, copies = _candidate_pool(db, q, pool_size, k)
+    scores = cross_similarity_scores(c, _pool_sums(db, pool, copies), tau)
+    return _take_best(pool, copies, scores, k)
 
 
-def _pool_sums(db: Database, pool: np.ndarray) -> np.ndarray:
-    """Each pool row's summed distance to every pool row, as an (m,) array.
+def _pool_sums(db: Database, pool: np.ndarray, copies: np.ndarray) -> np.ndarray:
+    """Each pool row's summed distance to every pool copy, as an array.
 
-    The pool is folded by twin id (_twin_groups) into its distinct rows x_i
-    with multiplicities w_i. One GEMM G = x xᵀ gives the pair distances
-    D_ij = √max(n_i + n_j − 2G_ij, 0), n = diag(G), so D_ii = 0 exactly,
-    and each distinct row's sum S_i = Σ_j w_j D_ij is one dot product.
-    Twins share one S_i, so they tie and break the tie by index.
+    pool holds distinct rows x_i, and copies their copies w_i in the pool.
+    One GEMM G = x xᵀ gives the pair distances D_ij = √max(n_i + n_j −
+    2G_ij, 0), n = diag(G), so D_ii = 0 exactly, and each row's sum
+    S_i = Σ_j w_j D_ij is one dot product.
     """
-    heads, group = _twin_groups(db.twins[pool])
-    x = db.patches[pool[heads]]
+    x = db.patches[pool]
     dist = x @ x.T
     norms = dist.diagonal().copy()
     dist *= -2.0
     dist += norms
     dist += norms[:, None]
     np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-    return np.vecdot(dist, np.bincount(group).astype(np.float64))[group]
-
-
-def _twin_groups(ids: np.ndarray):
-    """The groups of equal ids, numbered in order of first appearance (the
-    order the pool sums add them in): each group's first position, and the
-    group of each position."""
-    _, first, group = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[group]
+    return np.vecdot(dist, copies.astype(np.float64))
 
 
 def refine_first_pass(
@@ -300,17 +315,18 @@ def refine_first_pass(
 ) -> np.ndarray:
     """Select k patches balancing distance to the query and to a pilot patch.
 
-    Scores each pool candidate by ||q - p_j|| + tau * ||pbar - p_j|| and
-    keeps the k smallest. tau = 0 reduces to plain knn; large tau ranks by
-    pilot distance alone. A tau that is NaN, negative or infinite raises
+    Scores each distinct row of the pool_size nearest copies by
+    ||q - p_j|| + tau * ||pbar - p_j|| and takes the k best copies
+    (_take_best). tau = 0 reduces to plain knn; large tau ranks by pilot
+    distance alone. A tau that is NaN, negative or infinite raises
     ValueError.
     """
     _check_tau(tau)
-    pool, c = _candidate_pool(db, q, pool_size, k)
+    pool, c, copies = _candidate_pool(db, q, pool_size, k)
     # Every row's pilot distance, then the pool's: a screened database holds
     # a few rows beyond the pool, fewer than gathering the pool costs.
     scores = c + tau * _query_distances(db, pbar)[pool]
-    return pool[np.lexsort((pool, scores))[:k]]
+    return _take_best(pool, copies, scores, k)
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +343,18 @@ _NORM_LIMIT = 2.0**1020
 _MAX_DIM = 2**10  # patches up to 32 x 32: screen's tol assumes d·2**-24 <= 2**-14
 
 
-def _twin_ids(patches: np.ndarray) -> np.ndarray:
-    """Each row's lowest index among the rows identical to it (-0.0 == 0.0).
+def _row_counts(patches: np.ndarray) -> np.ndarray:
+    """Each row's count: the number of rows identical to it (-0.0 == 0.0)
+    if it has the lowest index among them, else 0.
 
     One stable sort of each row's bytes as one key puts rows with equal
     bytes together, in index order; +0.0 folds -0.0 into 0.0 first, on a
     copy made only when some zero is -0.0. Each row is then compared by
-    value with its neighbour in that order, _CHUNK_ROWS at a time, and every
-    row of a run of equal rows takes its head's index. NaN equals no row,
-    itself included, so a row that holds one heads its own run. patches
-    must be C-ordered float64, as a Database's rows are.
+    value with its neighbour in that order, _CHUNK_ROWS at a time, and the
+    head of each run of equal rows, its lowest index, takes the run's
+    length. NaN equals no row, itself included, so a row that holds one
+    heads its own run. patches must be C-ordered float64, as a Database's
+    rows are.
     """
     n, d = patches.shape
     if any(np.any((part == 0) & np.signbit(part)) for part in _chunks(patches)):
@@ -348,9 +366,9 @@ def _twin_ids(patches: np.ndarray) -> np.ndarray:
         run = patches.take(order[start : start + _CHUNK_ROWS + 1], axis=0)
         heads[start + 1 : start + len(run)] = (run[1:] != run[:-1]).any(axis=1)
     starts = np.flatnonzero(heads)
-    ids = np.empty(n, dtype=np.intp)
-    ids[order] = np.repeat(order[starts], np.diff(starts, append=n))
-    return ids
+    counts = np.zeros(n, dtype=np.intp)
+    counts[order[starts]] = np.diff(starts, append=n)
+    return counts
 
 
 def _chunks(rows: np.ndarray):
@@ -359,103 +377,78 @@ def _chunks(rows: np.ndarray):
             for start in range(0, len(rows), _CHUNK_ROWS))
 
 
-def half_norms(db: Database, m: int) -> np.ndarray:
-    """½‖x‖² per database row (float64), the row term of screen's ranking.
-
-    A row with m twins (db.twins) at lower indices gets inf: the search
-    gives identical rows identical distances and ties go to the lower
-    index, so such a row is never among a query's m nearest, and
-    screen_index leaves it out of the float32 table. Rejects the rows that
-    db.norms rejects.
-    """
-    norms = 0.5 * db.norms
-    order = np.argsort(db.twins, kind="stable")  # twins together, by index
-    runs = db.twins[order]
-    norms[order[np.arange(len(runs)) - np.searchsorted(runs, runs) >= m]] = np.inf
-    return norms
-
-
 @dataclass(frozen=True)
 class ScreenIndex:
     """What screen needs of a database, built once by screen_index.
 
-    rows: ascending database indices of the rows with a finite half norm.
-    table: those rows as one contiguous (d, r) float32 array, and norms:
-    their half norms in float32; both are None when every query searches
-    the whole database. radius: R, the largest row norm. m: the number of
-    nearest rows every query's candidates must hold (all r when r < m).
+    rows: ascending database indices of the distinct rows, each the lowest
+    index of its copies (a nonzero count). table: those rows as one
+    contiguous (d, r) float32 array, and norms: their half norms ½‖x‖² in
+    float32; both are None when every query searches the whole database.
+    radius: R, the largest row norm.
     """
 
     rows: np.ndarray
     table: np.ndarray | None
     norms: np.ndarray | None
     radius: float
-    m: int
 
 
-def screen_index(db: Database, m: int) -> ScreenIndex:
-    """The screen of db for each query's m nearest rows, built afresh; its
-    arrays are read-only.
+def screen_index(db: Database) -> ScreenIndex:
+    """The screen of db, built afresh; its arrays are read-only.
 
-    The rows left by half_norms (which also rejects a non-finite database)
+    The distinct rows (db.counts, which also rejects a non-finite database)
     are gathered into the float32 table _CHUNK_ROWS at a time, so they are
-    never all copied in float64 at once; with no more than m rows, none is
-    cut. No table is built when R reaches _GUARD (no value outside float32
-    range is ever cast) or when d exceeds _MAX_DIM: screen then returns
-    None, the whole database, for every query.
+    never all copied in float64 at once. No table is built when R reaches
+    _GUARD (no value outside float32 range is ever cast) or when d exceeds
+    _MAX_DIM: screen then returns None, the whole database, for every query.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    norms = half_norms(db, m)
-    rows = _read_only(np.flatnonzero(np.isfinite(norms)))
-    # Every cut (inf) row has a kept copy, so this is the largest row norm.
-    radius = float(np.sqrt(2.0 * np.max(norms[rows])))
+    rows = _read_only(np.flatnonzero(db.counts))
+    norms = db.norms[rows]
+    # Every row has a copy among the distinct rows: this is the largest norm.
+    radius = float(np.sqrt(np.max(norms)))
     d = db.patches.shape[1]
     if not radius < _GUARD or d > _MAX_DIM:
-        return ScreenIndex(rows, None, None, radius, m)
+        return ScreenIndex(rows, None, None, radius)
     table = np.empty((d, len(rows)), dtype=np.float32)
     for start in range(0, len(rows), _CHUNK_ROWS):
         part = rows[start : start + _CHUNK_ROWS]
         table[:, start : start + len(part)] = db.patches[part].T
     return ScreenIndex(rows, _read_only(table),
-                       _read_only(norms[rows].astype(np.float32)), radius, m)
+                       _read_only((0.5 * norms).astype(np.float32)), radius)
 
 
 # Makes _screen_of's check and build one step for callers on other threads.
 _SCREEN_LOCK = threading.Lock()
 
 
-def _screen_of(db: Database, m: int) -> ScreenIndex:
-    """db's screen index for m, built on first use and kept with db.
-
-    The index is rebuilt only when m changes; callers fetch it before any
-    worker thread starts. screen_index is the uncached builder.
-    """
+def _screen_of(db: Database) -> ScreenIndex:
+    """db's screen index, built on first use and kept with db (screen_index
+    builds afresh); callers fetch it before any worker thread starts."""
     with _SCREEN_LOCK:
-        index = db._screen
-        if index is None or index.m != m:
-            del index  # so the old table is freed before the new one is built
-            object.__setattr__(db, "_screen", None)
-            index = screen_index(db, m)
-            object.__setattr__(db, "_screen", index)
-        return index
+        if db._screen is None:
+            object.__setattr__(db, "_screen", screen_index(db))
+        return db._screen
 
 
-def screen(index: ScreenIndex, queries) -> list:
+def screen(index: ScreenIndex, queries, m: int) -> list:
     """Candidate rows, ascending, that hold each query's exact m nearest.
 
-    One float32 GEMM ranks the index's r rows for all the given queries
-    (callers pass blocks of SCREEN_BLOCK, which bounds its scores) by
-    h = ½‖x‖² − x·q, which orders rows as ‖x − q‖² does. Every row with
+    One float32 GEMM ranks the index's r distinct rows for all the given
+    queries (callers pass blocks of SCREEN_BLOCK, which bounds its scores)
+    by h = ½‖x‖² − x·q, which orders rows as ‖x − q‖² does. Every row with
     computed h within tol of the query's m-th smallest computed h is kept,
-    so the kept rows contain the first m of the search's reference order,
-    k_smallest(_query_distances(db, q), m); ranking them in index order
-    reproduces that order exactly. None means the whole database: for
-    every query when the index has no table, and for a query with
-    R + ‖q‖ >= _GUARD, which is never cast to float32. queries is an (n, d)
-    array: no queries give [], and another shape raises ValueError when
-    the index has a table. Each query's threshold comes from its own score
-    row, so the block's scores are the only array of their size it holds.
+    so the kept rows contain the first m distinct rows of the search's
+    reference order (_query_distances, ties broken by index); ranking them
+    in index order reproduces that order exactly. The m nearest rows are
+    copies of at most m distinct rows, all among the m nearest distinct
+    rows, so the kept rows serve every search that takes at most m copies.
+    None means the whole database: for every query when the index has no
+    table, and for a query with R + ‖q‖ >= _GUARD, which is never cast to
+    float32. queries is an (n, d) array: no queries give [], and another
+    shape raises ValueError when the index has a table; m < 1 raises
+    ValueError. Each query's threshold comes from its own score row, so the
+    block's scores are the only array of their size it holds.
 
     tol bounds the rounding. Let u = 2**-24 and η = 2**-126: one float32
     rounding, with gradual underflow or flush-to-zero, errs by at most
@@ -477,9 +470,9 @@ def screen(index: ScreenIndex, queries) -> list:
     The reference t = (n̂ − 2ĝ) + q̂q, from float64 dot products (any order,
     FMA or not; v = 2**-53, ν = 2**-1022), errs from ‖x − q‖² by at most
     (d + 3)·v·(a + b)² + 8dν <= (d + 3)·2**-52·B + 8dν, as does
-    database_quality's Σ(x_i − q_i)². A row y among its m nearest is in the
-    table (half_norms cuts no such row) and no farther by it than some row
-    z among the m of smallest computed h. √max(·, 0) rounded keeps that
+    database_quality's Σ(x_i − q_i)². A row y among the m nearest distinct
+    rows, all of which the table holds, is no farther by it than some row z
+    among the m of smallest computed h. √max(·, 0) rounded keeps that
     order up to a factor 1 + 2**-50, so exact h(y) <= exact h(z) +
     (d + 7)·2**-52·B + 8dν <= h(z) + 2**-17·u·B + η, and computed h(y)
     exceeds the m-th smallest computed h by at most 2E + 2**-17·u·B + η.
@@ -487,10 +480,12 @@ def screen(index: ScreenIndex, queries) -> list:
     float32 once costs u·B(1 + 2**-13) + 2η more. So tol = (d + 12)·u·B +
     32dη covers every term with room to spare.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     queries = np.asarray(queries, dtype=np.float64)
     if index.table is None or len(queries) == 0:
         return [None] * len(queries)
-    d, m = len(index.table), min(index.m, len(index.rows))
+    d, m = len(index.table), min(m, len(index.rows))
     if queries.ndim != 2 or queries.shape[1] != d:
         raise ValueError(f"queries of shape {queries.shape} do not match "
                          f"the index's (n, {d})")
@@ -535,19 +530,19 @@ def database_quality(db: Database, clean) -> float:
     For each of the m dense patches p_i of the clean image, take the minimum
     Euclidean distance to any database patch, normalized by sqrt(d); return
     the mean over i. Zero iff every clean patch appears in the database.
-    The screen (m = 1) narrows each patch to candidate rows that hold its
-    nearest, measured by row differences: the search's ‖x‖² − 2x·q + ‖q‖²
-    would lose them for rows far from the origin.
+    The screen kept with db (m = 1) narrows each patch to candidate rows
+    that hold its nearest, measured by row differences: the search's
+    ‖x‖² − 2x·q + ‖q‖² would lose them for rows far from the origin.
     """
     clean = as_image(clean)
     h, w = clean.shape
     dense = extract_patches(clean, plan_grid(w, h, db.patch_size, 1), db.patch_size)
     _sq_norms(dense)  # rejects patches whose differences could overflow
-    index = _screen_of(db, 1)
+    index = _screen_of(db)
     nearest = np.empty(len(dense))
     for start in range(0, len(dense), SCREEN_BLOCK):
         block = dense[start : start + SCREEN_BLOCK]
-        for i, rows in enumerate(screen(index, block), start):
+        for i, rows in enumerate(screen(index, block, 1), start):
             candidates = db.patches if rows is None else db.patches[rows]
             nearest[i] = _nearest(candidates, dense[i])
     return nearest.sum() / (len(dense) * np.sqrt(db.patches.shape[1]))

@@ -10,6 +10,7 @@ threads, as per-patch work holds the GIL and only the screen overlaps it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -151,8 +152,8 @@ class Report:
 
 
 def _check_k(cfg, db) -> None:
-    if cfg.k > len(db):
-        raise ValueError(f"database has {len(db)} patches, need k={cfg.k}")
+    if cfg.k > db._copies:
+        raise ValueError(f"database has {db._copies} patches, need k={cfg.k}")
 
 
 def _select_indices(q, db, cfg, pilot):
@@ -161,7 +162,7 @@ def _select_indices(q, db, cfg, pilot):
         selection = "knn" if pilot is None else "first_pass"
     if selection == "knn":
         return dbmod.knn(db, q, cfg.k)
-    pool = min(cfg.pool_size, len(db))
+    pool = min(cfg.pool_size, db._copies)
     tau = cfg.resolved_tau(selection, pool)
     if selection == "cross_similarity":
         return dbmod.refine_cross_similarity(db, q, pool, cfg.k, tau)
@@ -217,7 +218,7 @@ def _check_threads(threads) -> None:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
 
 
-def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
+def _run_pass(noisy, db, cfg, stride, pilot_image, clean, worker, index):
     """denoise_patch over the stride grid, piloted by pilot_image if given.
 
     The grid is cut into blocks of SCREEN_BLOCK queries, the same blocks at
@@ -225,17 +226,18 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
     database._screen_of keeps with db, and each patch searches only its
     candidate rows; they hold its exact m = min(pool_size, len(db)) nearest
     in index order, so the estimate is the one the whole database gives.
-    threads >= 2 has one worker filter each block while the caller screens the next.
+    A worker, if given, filters each block while the caller screens the next.
     """
     h, w = noisy.shape
     p = cfg.patch_size
     locs = plan_grid(w, h, p, stride)
     estimates = np.empty((len(locs), p * p))
+    m = min(cfg.pool_size, len(db))
 
     def screened(start):  # (index, query, candidate rows) per block patch
         ix = range(start, min(start + dbmod.SCREEN_BLOCK, len(locs)))
         queries = [extract_patch(noisy, locs[i], p) for i in ix]
-        return list(zip(ix, queries, dbmod.screen(index, queries)))
+        return list(zip(ix, queries, dbmod.screen(index, queries, m)))
 
     def filtered(block):  # fills the block's rows of estimates
         for i, q, cand in block:
@@ -248,15 +250,14 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, threads, index):
             estimates[i] = denoise_patch(q, sub, cfg, pilot=pilot, truth=truth)
 
     blocks = map(screened, range(0, len(locs), dbmod.SCREEN_BLOCK))
-    if threads <= 1:
+    if worker is None:
         list(map(filtered, blocks))
     else:
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            pending = worker.submit(filtered, next(blocks))  # never empty
-            for block in blocks:  # screened while the worker filters the last
-                pending.result()  # re-raises that block's error
-                pending = worker.submit(filtered, block)
-            pending.result()
+        pending = worker.submit(filtered, next(blocks))  # never empty
+        for block in blocks:  # screened while the worker filters the last
+            pending.result()  # re-raises that block's error
+            pending = worker.submit(filtered, block)
+        pending.result()
     return aggregate(estimates, locs, w, h)
 
 
@@ -266,7 +267,7 @@ def denoise_image(
     """Run the one- or two-pass pipeline; returns the estimate and a report.
 
     The clean image is used only for metrics and for the 'oracle' rule.
-    threads >= 2 runs each pass on two threads, with the same output.
+    threads >= 2 runs both passes on the caller and one worker: same output.
     """
     _check_threads(threads)
     noisy = as_image(noisy)
@@ -283,13 +284,16 @@ def denoise_image(
                          f"configured patch size {cfg.patch_size}")
     _check_k(cfg, db)
 
-    index = dbmod._screen_of(db, min(cfg.pool_size, len(db)))
+    index = dbmod._screen_of(db)
 
     result, seconds = None, [0.0, 0.0]
-    for n, stride in enumerate((cfg.stride_pass1, cfg.stride_pass2)[:cfg.passes]):
-        start = time.perf_counter()
-        result = _run_pass(noisy, db, cfg, stride, result, clean, threads, index)
-        seconds[n] = time.perf_counter() - start
+    strides = (cfg.stride_pass1, cfg.stride_pass2)[:cfg.passes]
+    with (ThreadPoolExecutor(max_workers=1) if threads > 1
+          else contextlib.nullcontext()) as worker:
+        for n, stride in enumerate(strides):
+            start = time.perf_counter()
+            result = _run_pass(noisy, db, cfg, stride, result, clean, worker, index)
+            seconds[n] = time.perf_counter() - start
 
     report = Report(
         psnr_noisy=psnr(clean, noisy) if clean is not None else None,

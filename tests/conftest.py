@@ -43,10 +43,10 @@ def rng():
 
 @pytest.fixture()
 def screen_builds(monkeypatch):
-    """The m of every screen index built from here on, in order."""
+    """The database of every screen index built from here on, in order."""
     built, build = [], database.screen_index
     monkeypatch.setattr(database, "screen_index",
-                        lambda db, m: built.append(m) or build(db, m))
+                        lambda db: built.append(db) or build(db))
     return built
 
 

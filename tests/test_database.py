@@ -26,7 +26,6 @@ from patchdenoise.database import (
     compute_weights,
     cross_similarity_scores,
     database_quality,
-    half_norms,
     k_smallest,
     knn,
     load_database,
@@ -215,10 +214,25 @@ class TestKnn:
             np.testing.assert_array_equal(knn(db, q, 5), expected)
 
     def test_ties_break_by_lower_index(self):
-        patch = np.ones(4)
-        patches = np.vstack([patch, patch * 2, patch, patch])
-        db = Database(patches=patches, patch_size=2)
-        np.testing.assert_array_equal(knn(db, patch, 3), [0, 2, 3])
+        # Rows 0 and 2 are one row with two copies; row 3 ties with it.
+        a, b, far = np.eye(4)[0], np.eye(4)[1], 5.0 * np.eye(4)[0]
+        db = Database(patches=np.vstack([a, far, a, b]), patch_size=2)
+        np.testing.assert_array_equal(knn(db, np.zeros(4), 3), [0, 0, 3])
+        np.testing.assert_array_equal(knn(db, np.zeros(4), 4), [0, 0, 3, 1])
+
+    def test_copies_left_out_of_a_take_count_for_nothing(self, rng):
+        # Rows 3 and 7 are copies of row 0, so their counts are 0: a
+        # database of them alone stands for no row.
+        patches = np.round(rng.standard_normal((10, 16)))
+        patches[[3, 7]] = patches[0]
+        db = Database(patches=patches, patch_size=4)
+        sub = db.take([3, 7])
+        np.testing.assert_array_equal(sub.counts, [0, 0])
+        for k in (1, 2):
+            with pytest.raises(ValueError, match=r"k must be in \[1, 0\]"):
+                knn(sub, patches[0], k)
+        with pytest.raises(ValueError, match=r"pool_size \(2\) exceeds"):
+            refine_first_pass(sub, patches[0], patches[0], 2, 1, 0.5)
 
     def test_k_out_of_range_rejected(self, rng):
         db = _random_db(rng, n=5)
@@ -311,18 +325,19 @@ class TestScreen:
     def test_candidates_reproduce_every_search(self, case):
         db, q, pilot = case
         past_guard = np.abs(np.r_[db.patches.ravel(), q]).max() > _GUARD
+        index = screen_index(db)
         for m in range(1, len(db) + 2):
-            (rows,) = screen(screen_index(db, m), [q])
+            (rows,) = screen(index, [q], m)
             # None: the whole database
             assert (rows is None) == past_guard
             if rows is None:
                 continue
-            if m >= len(db):  # no row can be cut, and every row is kept
-                np.testing.assert_array_equal(rows, np.arange(len(db)))
+            if m >= len(index.rows):  # every distinct row is kept
+                np.testing.assert_array_equal(rows, np.flatnonzero(db.counts))
             if m > len(db):
                 continue
             assert np.all(np.diff(rows) > 0)
-            sub = Database(patches=db.patches[rows], patch_size=2)
+            sub = db.take(rows)
             for k in {1, (m + 1) // 2, m}:
                 np.testing.assert_array_equal(rows[knn(sub, q, k)], knn(db, q, k))
                 np.testing.assert_array_equal(
@@ -337,44 +352,49 @@ class TestScreen:
     @example(_FLOAT32_REORDERS)
     @example(_SUBNORMAL_SCORES)
     def test_kept_rows_hold_the_reference_first_m(self, case):
-        # The reference is the float64 search distance over the whole
-        # database; near-ties there must not push one of its first m out.
+        # The reference is the float64 search distance over the distinct
+        # rows; near-ties there must not push one of its first m out.
         db, q, _ = case
-        distances = database._query_distances(db, q)
+        distinct = np.flatnonzero(db.counts)
+        distances = database._query_distances(db, q)[distinct]
+        index = screen_index(db)
         for m in range(1, len(db)):
-            (rows,) = screen(screen_index(db, m), [q])
+            (rows,) = screen(index, [q], m)
             if rows is not None:
-                assert set(k_smallest(distances, m)) <= set(rows)
+                assert set(distinct[k_smallest(distances, m)]) <= set(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(_screen_cases())
-    def test_duplicate_cut_is_m_identical_rows_below(self, case):
+    def test_table_holds_each_distinct_row_once(self, case):
         db, _, _ = case
         P = db.patches
         below = np.array([np.sum(np.all(P[:i] == P[i], axis=1))
                           for i in range(len(db))])
-        for m in range(1, len(db) + 1):
-            norms = half_norms(db, m)
-            np.testing.assert_array_equal(np.isinf(norms), below >= m)
-            kept = np.isfinite(norms)
+        index = screen_index(db)
+        np.testing.assert_array_equal(index.rows, np.flatnonzero(below == 0))
+        assert index.radius == np.sqrt(np.vecdot(P, P).max())
+        if index.table is not None:
+            kept = P[index.rows]
+            np.testing.assert_array_equal(index.table, kept.T.astype(np.float32))
             np.testing.assert_array_equal(
-                norms[kept], 0.5 * np.vecdot(P[kept], P[kept]))
+                index.norms, (0.5 * np.vecdot(kept, kept)).astype(np.float32))
 
-    def test_duplicate_cut_keeps_the_first_m_copies(self, rng):
+    def test_table_keeps_the_lowest_index_copy(self, rng):
         row = np.round(10.0 * rng.standard_normal(16))
         row[0] = 0.0
         twin = row.copy()
         twin[0] = -0.0  # equal values, different bytes
         other = row + 1.0
         P = np.array([other, row, twin, other, row, twin, row, other])
-        norms = half_norms(Database(patches=P, patch_size=4), 2)
+        db = Database(patches=P, patch_size=4)
         # Copies of `row` sit at 1, 2, 4, 5, 6; of `other` at 0, 3, 7.
-        np.testing.assert_array_equal(np.flatnonzero(np.isinf(norms)), [4, 5, 6, 7])
+        np.testing.assert_array_equal(screen_index(db).rows, [0, 1])
+        np.testing.assert_array_equal(db.counts, [3, 5, 0, 0, 0, 0, 0, 0])
 
     def test_screen_keeps_about_m_rows(self, rng):
         db = _random_db(rng, n=2000)
         queries = 10.0 * rng.standard_normal((4, db.patches.shape[1]))
-        for rows in screen(screen_index(db, 50), queries):
+        for rows in screen(screen_index(db), queries, 50):
             assert 50 <= len(rows) < 60
 
     def test_huge_magnitudes_search_the_whole_database(self, rng):
@@ -383,16 +403,16 @@ class TestScreen:
             warnings.simplefilter("error")
             huge = 1e150 * rng.integers(-3, 4, (30, 16)).astype(float)
             db = Database(patches=huge, patch_size=4)
-            index = screen_index(db, 5)
+            index = screen_index(db)
             assert index.table is None
-            assert screen(index, db.patches[:2]) == [None, None]
+            assert screen(index, db.patches[:2], 5) == [None, None]
             # Within the guard, the database is screened, and only the query
             # past it searches the whole database.
             small = _random_db(rng, n=30)
-            index = screen_index(small, 5)
-            far, near = screen(index, [huge[0], small.patches[3]])
-            assert far is None and screen(index, huge[:1]) == [None]
-            sub = Database(patches=small.patches[near], patch_size=4)
+            index = screen_index(small)
+            far, near = screen(index, [huge[0], small.patches[3]], 5)
+            assert far is None and screen(index, huge[:1], 5) == [None]
+            sub = small.take(near)
             np.testing.assert_array_equal(near[knn(sub, small.patches[3], 5)],
                                           knn(small, small.patches[3], 5))
 
@@ -401,29 +421,30 @@ class TestScreen:
         patches = rng.standard_normal((50, 16))
         patches[7, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            half_norms(Database(patches=patches, patch_size=4), 10)
+            screen_index(Database(patches=patches, patch_size=4))
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_m_below_one_rejected(self, rng, m):
+        index = screen_index(_random_db(rng, n=20))
         with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
-            screen_index(_random_db(rng, n=20), m)
+            screen(index, np.zeros((1, 16)), m)
 
     def test_queries_must_match_the_table(self, rng):
-        index = screen_index(_random_db(rng, n=100), 10)
-        assert screen(index, []) == [] == screen(index, np.empty((0, 16)))
+        index = screen_index(_random_db(rng, n=100))
+        assert screen(index, [], 10) == [] == screen(index, np.empty((0, 16)), 10)
         for bad in (np.zeros(16), np.zeros((2, 9)), np.zeros((2, 16, 1))):
             with pytest.raises(ValueError) as err:
-                screen(index, bad)
+                screen(index, bad, 10)
             assert str(bad.shape) in str(err.value) and "(n, 16)" in str(err.value)
 
     def test_a_block_holds_its_scores_once(self, rng):
         db = _random_db(rng, n=20_000, d=64)
-        index = screen_index(db, 200)
+        index = screen_index(db)
         queries = 10.0 * rng.standard_normal((16, 64))
-        screen(index, queries)  # warm-up
+        screen(index, queries, 200)  # warm-up
         tracemalloc.start()
         try:
-            screen(index, queries)
+            screen(index, queries, 200)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -432,39 +453,40 @@ class TestScreen:
 
 
 class TestKeptScreen:
-    def test_kept_for_the_last_m_only(self, rng, screen_builds):
+    def test_kept_for_every_m(self, rng, screen_builds):
         db = _random_db(rng, n=200)
-        first = database._screen_of(db, 10)
-        assert database._screen_of(db, 10) is first and screen_builds == [10]
-        other = database._screen_of(db, 20)
-        assert other is not first and other.m == 20
-        assert database._screen_of(db, 10) is not first
-        assert screen_builds == [10, 20, 10]
+        first = database._screen_of(db)
+        queries = 10.0 * rng.standard_normal((2, 16))
+        for m in (10, 20, 1, 10):
+            assert database._screen_of(db) is first
+            for rows in screen(first, queries, m):
+                assert len(rows) >= m
+        assert screen_builds == [db]
 
     def test_matches_the_uncached_builder(self, rng):
         db = _random_db(rng, n=200)
-        kept = database._screen_of(db, 10)
-        fresh = screen_index(db, 10)
-        assert fresh is not screen_index(db, 10)
+        kept = database._screen_of(db)
+        fresh = screen_index(db)
+        assert fresh is not screen_index(db)
         for name in ("rows", "table", "norms"):
             np.testing.assert_array_equal(getattr(kept, name), getattr(fresh, name))
             with pytest.raises(ValueError, match="read-only"):
                 getattr(fresh, name)[0] = 0
-        assert (kept.radius, kept.m) == (fresh.radius, fresh.m)
+        assert kept.radius == fresh.radius
 
     def test_uncached_builder_keeps_no_index(self, rng):
         db = _random_db(rng, n=200)
-        screen_index(db, 10)
+        screen_index(db)
         assert db._screen is None
 
     def test_slot_is_private_state(self, rng):
         db = _random_db(rng, n=200)
         twin = Database(patches=db.patches, patch_size=4)
-        database._screen_of(db, 10)
+        database._screen_of(db)
         assert repr(db) == repr(twin)
         fresh = dataclasses.replace(db)
         assert fresh._screen is None and fresh.patches is db.patches
-        assert not {"norms", "twins"} & set(vars(fresh))
+        assert not {"norms", "counts", "_copies"} & set(vars(fresh))
         with pytest.raises(TypeError):
             Database(db.patches, 4, None)
 
@@ -476,18 +498,20 @@ class TestKeptScreen:
         assert db == db and db != Database(a.copy(), 2) and db != Database(a, 2)
         assert len({db, db, Database(a, 2)}) == 2
 
-    def test_take_hands_over_norms_and_twin_ids(self, rng):
+    def test_take_hands_over_norms_and_counts(self, rng):
         patches = np.round(3.0 * rng.standard_normal((200, 16)))
         patches[150:] = patches[:50]
         db = Database(patches=patches, patch_size=4)
         rows = np.array([5, 3, 199, 155, 149])
         sub = db.take(rows)
         np.testing.assert_array_equal(sub.patches, db.patches[rows])
-        assert {"norms", "twins"} <= set(vars(sub))
+        assert {"norms", "counts", "_copies"} <= set(vars(sub))
         np.testing.assert_array_equal(sub.norms, np.vecdot(sub.patches, sub.patches))
-        # The ids of the database taken from: rows 5 and 155 are twins.
-        np.testing.assert_array_equal(sub.twins, [5, 3, 49, 5, 149])
-        for array in (sub.patches, sub.norms, sub.twins):
+        # The counts of the database taken from: rows 199 and 155 are the
+        # second copies of rows 49 and 5, and row 149 has one copy.
+        np.testing.assert_array_equal(sub.counts, [2, 2, 0, 0, 1])
+        assert sub._copies == 5 and db._copies == len(db) == db.counts.sum()
+        for array in (sub.patches, sub.norms, sub.counts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -497,7 +521,7 @@ class TestKeptScreen:
 
         def first_search():
             barrier.wait(timeout=10)
-            return database._screen_of(db, 10)
+            return database._screen_of(db)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -507,7 +531,7 @@ class TestKeptScreen:
                 indexes = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert screen_builds == [10]
+        assert screen_builds == [db]
         assert all(index is indexes[0] for index in indexes)
 
     @pytest.mark.parametrize("layout", ["F", "view", "float32", "uint8", "list"])
@@ -537,7 +561,7 @@ class TestKeptScreen:
 
     def test_searched_database_still_saves(self, tmp_path, rng):
         db = _random_db(rng, n=200)
-        database._screen_of(db, 10)
+        database._screen_of(db)
         path = tmp_path / "patches.cache"
         save_database_cache(db, path)
         assert load_database_cache(path).patches.tobytes() == db.patches.tobytes()
@@ -545,10 +569,10 @@ class TestKeptScreen:
     def test_database_quality_builds_the_index_once(self, rng, screen_builds):
         img = rng.random((12, 12)) * 255
         db = _random_db(rng, n=200)
+        copy = Database(patches=db.patches.copy(), patch_size=4)
         values = [database_quality(db, img) for _ in range(2)]
-        assert values[0] == values[1] == database_quality(
-            Database(patches=db.patches.copy(), patch_size=4), img)
-        assert screen_builds == [1, 1]  # the database, then its fresh copy
+        assert values[0] == values[1] == database_quality(copy, img)
+        assert screen_builds == [db, copy]
 
 
 # Few values, so rows repeat; signed zeros must count as equal, and NaN
@@ -558,97 +582,176 @@ _TWIN_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan])
 
 @st.composite
 def _twin_cases(draw):
-    """(rows, pool): rows drawn from a few distinct rows, and the rows in
-    another order."""
+    """Rows drawn from a few distinct rows."""
     vector = st.lists(_TWIN_VALUES, min_size=4, max_size=4)
     base = draw(st.lists(vector, min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=30))
-    pool = np.array(draw(st.permutations(range(len(picks)))))
-    return np.array([base[i] for i in picks]), pool
+    return np.array([base[i] for i in picks])
 
 
-def _fold_by_value(rows):
-    """Each distinct row's first position and each row's group, numbered in
-    order of first appearance, from a dict keyed by the row's values."""
-    first = {}
-    group = np.array([first.setdefault(tuple(row + 0.0), len(first)) for row in rows])
-    return np.array([list(group).index(g) for g in range(len(first))]), group
+def _lowest_identical(rows):
+    """Each row's lowest index among the rows equal to it by value, by a
+    double loop; NaN equals no row, itself included."""
+    equal = np.all(rows[:, None] == rows[None, :], axis=2)
+    return np.array([np.flatnonzero(row)[0] if row.any() else i
+                     for i, row in enumerate(equal)], dtype=np.intp)
 
 
-class TestTwins:
+class TestCounts:
     @settings(max_examples=300, deadline=None)
     @given(_twin_cases())
-    @example((np.array([[0.0, -0.0, 1, 1], [np.nan, 1, 1, 1], [-0.0, 0.0, 1, 1],
-                        [np.nan, 1, 1, 1]]), np.array([2, 0, 3, 1])))
-    @example((np.array([[1.0, -0.0, 0, 2], [1.0, 0.0, -0.0, 2],
-                        [-1.0, 0, 0, 2], [1.0, 0.0, 0.0, 2]]), np.arange(4)))
-    def test_ids_name_the_lowest_identical_row(self, case):
-        rows, pool = case
-        # NaN equals no row, itself included: each such row is its own.
-        ids = database._twin_ids(rows)
-        equal = np.all(rows[:, None] == rows[None, :], axis=2)
-        np.testing.assert_array_equal(ids[:, None] == ids[None, :],
-                                      equal | np.eye(len(rows), dtype=bool))
-        lowest = [np.flatnonzero(row)[0] if row.any() else i
-                  for i, row in enumerate(equal)]
-        np.testing.assert_array_equal(ids, lowest)
+    @example(np.array([[0.0, -0.0, 1, 1], [np.nan, 1, 1, 1], [-0.0, 0.0, 1, 1],
+                       [np.nan, 1, 1, 1]]))
+    @example(np.array([[1.0, -0.0, 0, 2], [1.0, 0.0, -0.0, 2],
+                       [-1.0, 0, 0, 2], [1.0, 0.0, 0.0, 2]]))
+    def test_counts_sit_on_the_lowest_identical_row(self, rows):
+        counts = database._row_counts(rows)
+        lowest = _lowest_identical(rows)
+        np.testing.assert_array_equal(counts,
+                                      np.bincount(lowest, minlength=len(rows)))
+        assert counts.sum() == len(rows)
         db = Database(patches=rows, patch_size=2)
         if np.isnan(rows).any():
             with pytest.raises(ValueError, match="finite"):
-                db.twins
+                db.counts
             return
-        np.testing.assert_array_equal(db.twins, ids)
-        heads, group = database._twin_groups(db.twins[pool])
-        expected_heads, expected_group = _fold_by_value(rows[pool])
-        np.testing.assert_array_equal(heads, expected_heads)
-        np.testing.assert_array_equal(group, expected_group)
+        np.testing.assert_array_equal(db.counts, counts)
 
     def test_rows_are_never_all_copied(self, rng):
         # Without a -0.0 the rows are sorted through a byte view and compared
         # a chunk at a time: the peak is a few index arrays and a chunk of
         # rows, not the rows' 10 MB.
         rows = np.round(rng.standard_normal((20_000, 64)))
-        rows[::3] = rows[1::3][: len(rows[::3])]  # twins to fold
+        rows[::3] = rows[1::3][: len(rows[::3])]  # row 3j + 1 copies row 3j
         rows += 0.0
         tracemalloc.start()
         try:
-            ids = database._twin_ids(rows)
+            counts = database._row_counts(rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < rows.nbytes / 4
-        index = np.arange(len(rows))
-        np.testing.assert_array_equal(ids, index - (index % 3 == 1))
+        np.testing.assert_array_equal(counts, np.resize([2, 0, 1], len(rows)))
+
+
+@st.composite
+def _copy_cases(draw):
+    """(db, q, pilot, m, k, tau, line): rows drawn from a few distinct rows of
+    small integers, some of whose zeros are -0.0, so every search distance
+    is exact. On a line (rows s·(3, 4, 0, 0)) every pair distance is an
+    integer too, so the pool sums are exact as well."""
+    line = draw(st.booleans())
+    if line:
+        vector = st.integers(-3, 3).map(lambda t: [3.0 * t, 4.0 * t, 0.0, 0.0])
+    else:
+        vector = st.lists(st.integers(-2, 2).map(float), min_size=4, max_size=4)
+    base = draw(st.lists(vector, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=24))
+    patches = np.array([base[i] for i in picks])
+    signs = draw(st.lists(st.booleans(), min_size=patches.size,
+                          max_size=patches.size))
+    patches[(patches == 0) & np.reshape(signs, patches.shape)] = -0.0
+    q, pilot = np.array(draw(vector)), np.array(draw(vector))
+    m = draw(st.integers(1, len(patches)))
+    k = draw(st.integers(1, m))
+    tau = draw(st.sampled_from([0.0, 1 / 3, 1.0]))
+    return Database(patches=patches, patch_size=2), q, pilot, m, k, tau, line
+
+
+def _ends_in_a_tie(rows, keys, k):
+    """Whether the k smallest keys end inside a run of equal keys that
+    different rows hold: there, which rows make the cut is a tie-break."""
+    order = np.argsort(keys, kind="stable")
+    if k >= len(keys) or keys[order[k - 1]] != keys[order[k]]:
+        return False
+    run = rows[keys == keys[order[k - 1]]]
+    return not np.all(run == run[0])
+
+
+def _as_multiset(rows):
+    return sorted(map(tuple, rows + 0.0))
+
+
+class TestSearchByCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(_copy_cases())
+    @example((Database(np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, -0.0]]), 2),
+              np.zeros(4), np.ones(4), 2, 2, 1.0, False))
+    def test_searches_select_the_brute_force_rows(self, case):
+        # Brute force over every row: one stable sort by key, with ties
+        # broken first by the lowest identical index, as the counts rank, or
+        # by index alone, as before counts. The rows selected match the
+        # former in order, and the latter as a multiset wherever no cut
+        # falls inside a tie of different rows.
+        db, q, pilot, m, k, tau, line = case
+        P, heads = db.patches, _lowest_identical(db.patches)
+        c = cdist(q[None, :], P)[0]
+        searches = {
+            "knn": (lambda db: knn(db, q, k), len(db), lambda rows: c[rows]),
+            "first_pass": (
+                lambda db: refine_first_pass(db, q, pilot, m, k, tau), m,
+                lambda rows: c[rows] + tau * cdist(pilot[None, :], P[rows])[0]),
+            "cross_similarity": (
+                lambda db: refine_cross_similarity(db, q, m, k, tau), m,
+                lambda rows: cross_similarity_scores(
+                    c[rows], cdist(P[rows], P[rows]).sum(axis=0), tau)),
+        }
+        if not line:  # pair distances round, so pool sums may tie differently
+            del searches["cross_similarity"]
+        (screened,) = screen(screen_index(db), [q], m)
+        for name, (search, pool_size, key) in searches.items():
+            selected = search(db)
+            rows = _by_copies(heads, c)[:pool_size]
+            expected = heads[rows[_by_copies(heads[rows], key(rows))[:k]]]
+            np.testing.assert_array_equal(selected, expected, name)
+            rows = np.argsort(c, kind="stable")[:pool_size]
+            if not (_ends_in_a_tie(P, c, pool_size)
+                    or _ends_in_a_tie(P[rows], key(rows), k)):
+                before = rows[np.argsort(key(rows), kind="stable")[:k]]
+                assert _as_multiset(P[selected]) == _as_multiset(P[before]), name
+            np.testing.assert_array_equal(
+                screened[search(db.take(screened))], selected, name)
+
+
+def _by_copies(heads, keys):
+    """Brute force: every row, in one stable sort by key, ties broken by the
+    lowest index of the rows identical to it (heads), then by index."""
+    return np.lexsort((heads, keys))
 
 
 def _cross_similarity_with_cdist(db, q, m, k, tau):
-    # The pool-pair matrix from cdist, which computes every pair twice.
+    """The selection, the pool of m copies and each copy's score, from cdist,
+    which computes every pool pair twice; each copy stands for its head."""
+    heads = _lowest_identical(db.patches)
     dists = cdist(q[None, :], db.patches)[0]
-    pool = np.argsort(dists, kind="stable")[:m]
+    pool = _by_copies(heads, dists)[:m]
     B = cdist(db.patches[pool], db.patches[pool])
     scores = cross_similarity_scores(dists[pool], B.sum(axis=0), tau)
-    return pool[np.lexsort((pool, scores))[:k]], scores
+    return heads[pool[_by_copies(heads[pool], scores)[:k]]], pool, scores
 
 
 def _assert_selects_like_cdist(db, q, m, k, tau, selected, tol):
-    """selected ranks as the cdist reference does, except that candidates
+    """selected ranks as the cdist reference does, except that distinct rows
     whose reference distances or scores lie within tol may come in either
-    order; identical rows always come in index order."""
+    order; a row's copies come together, under its lowest index."""
     c = cdist(q[None, :], db.patches)[0]
-    pool, _ = database._candidate_pool(db, q, m, k)
+    pool, _, copies = database._candidate_pool(db, q, m, k)
     assert c[pool].max() <= np.sort(c)[m - 1] + tol
-    scores = dict(zip(pool, cross_similarity_scores(
-        c[pool], cdist(db.patches[pool], db.patches[pool]).sum(axis=0), tau)))
+    np.testing.assert_array_equal(_lowest_identical(db.patches)[pool], pool)
+    assert len(set(pool)) == len(pool) and copies.min() > 0 and copies.sum() == m
+    x = db.patches[pool]
+    scores = dict(zip(pool, cross_similarity_scores(c[pool], cdist(x, x) @ copies,
+                                                    tau)))
     chosen = [scores[i] for i in selected]
-    assert len(set(selected)) == k and set(selected) <= set(pool)
+    assert len(selected) == k and set(selected) <= set(pool)
     assert all(b >= a - tol for a, b in zip(chosen, chosen[1:]))
-    left = [scores[i] for i in set(pool) - set(selected)]
+    runs, taken = np.unique(selected, return_counts=True)
+    assert np.count_nonzero(np.diff(selected)) == len(runs) - 1  # together
+    held, last = dict(zip(pool, copies)), selected[-1]
+    assert all(n == held[i] or i == last and n < held[i]  # only the last in part
+               for i, n in zip(runs, taken))
+    left = [scores[i] for i in pool if list(selected).count(i) < held[i]]
     assert min(left, default=np.inf) >= chosen[-1] - tol
-    order = list(selected)
-    for i, j in combinations(range(len(db)), 2):
-        if np.array_equal(db.patches[i], db.patches[j]):
-            assert j not in pool or i in pool
-            assert j not in order or order.index(i) < order.index(j)
 
 
 def _apart(values, rows, tol):
@@ -745,33 +848,39 @@ def _pool_case(rows, q, m, k, tau):
 
 
 _A, _B, _C = [0.0, 0, 0, 0], [10.0, 0, 0, 0], [0.0, 20, 0, 0]
-# Each case and the group of each pool row (pool order) that it must fold to.
-_FOLD_CASES = {
-    # Twins fold into three rows.
-    "twins": (_pool_case([_A, _B, _A, _C, _A, _B, _A, _C, _A], [1, 1, 0, 0],
-                         9, 6, 1 / 400), [0, 0, 0, 0, 0, 1, 1, 2, 2]),
-    # One row, signed zeros included: every score ties, ranked by index.
+# Each case and the pool it must hold: its distinct rows, in rank order, and
+# the copies of each.
+_POOL_CASES = {
+    # Copies of three rows.
+    "copies": (_pool_case([_A, _B, _A, _C, _A, _B, _A, _C, _A], [1, 1, 0, 0],
+                          9, 6, 1 / 400), ([0, 1, 3], [5, 2, 2])),
+    # One row, signed zeros included: every copy ties, under index 0.
     "all_zero": (_pool_case([[0.0, -0.0, 0, 0], [-0.0, 0, 0, 0]] * 3,
-                            [1, 1, 1, 1], 6, 3, 1.0), [0] * 6),
+                            [1, 1, 1, 1], 6, 3, 1.0), ([0], [6])),
     # Query distances one ulp apart.
     "near_tie": (_pool_case([[1, 0, 0, 0], [0, 1 + 2.0**-52, 0, 0]],
-                            [0, 0, 0, 0], 2, 1, 1 / 400), [0, 1]),
-    # Distinct rows at equal distance from q are not twins; folded as
-    # twins, row 1 would take row 0's larger sum and lose to row 2.
+                            [0, 0, 0, 0], 2, 1, 1 / 400), ([0, 1], [1, 1])),
+    # Distinct rows at equal distance from q are not copies; counted as
+    # one, row 1 would take row 0's larger sum and lose to row 2.
     "equidistant": (_pool_case([[0, 1, 0, 0], [1, 0, 0, 0], [1.5, 0, 0, 0]],
-                               [0, 0, 0, 0], 3, 2, 1.0), [0, 1, 2]),
+                               [0, 0, 0, 0], 3, 2, 1.0), ([0, 1, 2], [1, 1, 1])),
     # The same, far from the origin.
     "equidistant_large": (_pool_case(2.0**60 * np.eye(4)[:3], [0, 0, 0, 0],
-                                     3, 2, 1 / 400), [0, 1, 2]),
+                                     3, 2, 1 / 400), ([0, 1, 2], [1, 1, 1])),
+    # Copies of two rows tied with a third: the pool cut takes row 0's
+    # copies first, as the three rows rank by their lowest indices.
+    "cut_in_a_tie": (_pool_case([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0],
+                                 [0, 0, 5, 0]], [0, 0, 0, 0], 2, 1, 1.0),
+                     ([0], [2])),
 }
 
 
 class TestCrossSimilarityRefinement:
     @settings(max_examples=400, deadline=None)
     @given(_pool_cases())
-    @example(_FOLD_CASES["near_tie"][0])
-    @example(_FOLD_CASES["equidistant"][0])
-    @example(_FOLD_CASES["equidistant_large"][0])
+    @example(_POOL_CASES["near_tie"][0])
+    @example(_POOL_CASES["equidistant"][0])
+    @example(_POOL_CASES["equidistant_large"][0])
     def test_ranks_like_the_cdist_reference_on_every_pool(self, case):
         db, q, m, k, tau = case
         with warnings.catch_warnings():
@@ -781,59 +890,62 @@ class TestCrossSimilarityRefinement:
         _assert_selects_like_cdist(db, q, m, k, tau, selected, tol)
         # Where distinct rows lie more than tol apart in query distance and
         # in score, rounding cannot reorder them: the selection is cdist's.
-        expected, scores = _cross_similarity_with_cdist(db, q, m, k, tau)
+        expected, pool, scores = _cross_similarity_with_cdist(db, q, m, k, tau)
         c = cdist(q[None, :], db.patches)[0]
-        pool = np.argsort(c, kind="stable")[:m]
         if (_apart(c, db.patches, tol)
                 and _apart(scores, db.patches[pool], tol)):
             np.testing.assert_array_equal(selected, expected)
 
     @settings(max_examples=300, deadline=None)
     @given(_integer_cases())
-    @example(_FOLD_CASES["equidistant"][0][:2] + (np.zeros(4), 3, 2, 1.0))
+    @example(_POOL_CASES["equidistant"][0][:2] + (np.zeros(4), 3, 2, 1.0))
     def test_integer_rows_select_as_cdist_does(self, case):
         db, q, pilot, m, k, tau = case
+        heads = _lowest_identical(db.patches)
         c = cdist(q[None, :], db.patches)[0]
-        np.testing.assert_array_equal(knn(db, q, k), np.argsort(c, kind="stable")[:k])
-        pool = np.argsort(c, kind="stable")[:m]
+        pool = _by_copies(heads, c)[:m]
+        np.testing.assert_array_equal(knn(db, q, k), heads[pool[:k]])
         e = cdist(pilot[None, :], db.patches[pool])[0]
-        expected = pool[np.lexsort((pool, c[pool] + tau * e))[:k]]
+        expected = heads[pool[_by_copies(heads[pool], c[pool] + tau * e)[:k]]]
         np.testing.assert_array_equal(refine_first_pass(db, q, pilot, m, k, tau),
                                       expected)
         # The pool sums add the same exact distances in another order.
-        _, scores = _cross_similarity_with_cdist(db, q, m, k, tau)
+        _, _, scores = _cross_similarity_with_cdist(db, q, m, k, tau)
         _assert_selects_like_cdist(db, q, m, k, tau,
                                    refine_cross_similarity(db, q, m, k, tau),
                                    2.0**-40 * scores.max())
 
-    @pytest.mark.parametrize("name", _FOLD_CASES)
-    def test_each_case_folds_by_value_and_scores_once(self, monkeypatch, name):
-        (db, q, m, k, tau), groups = _FOLD_CASES[name]
-        expected, _ = _cross_similarity_with_cdist(db, q, m, k, tau)
-        folds, calls = [], []
-        fold, scores = database._twin_groups, database.cross_similarity_scores
-        monkeypatch.setattr(database, "_twin_groups",
-                            lambda ids: folds.append(fold(ids)) or folds[-1])
+    @pytest.mark.parametrize("name", _POOL_CASES)
+    def test_each_case_pools_distinct_rows_and_scores_once(self, monkeypatch,
+                                                           name):
+        (db, q, m, k, tau), (rows, copies) = _POOL_CASES[name]
+        expected, _, _ = _cross_similarity_with_cdist(db, q, m, k, tau)
+        calls, scores = [], database.cross_similarity_scores
         monkeypatch.setattr(database, "cross_similarity_scores",
                             lambda *args: calls.append(args) or scores(*args))
         np.testing.assert_array_equal(refine_cross_similarity(db, q, m, k, tau),
                                       expected)
-        ((heads, group),) = folds
-        np.testing.assert_array_equal(group, groups)
-        pool, _ = database._candidate_pool(db, q, m, k)
-        np.testing.assert_array_equal(db.patches[pool[heads]][group], db.patches[pool])
+        pool, _, taken = database._candidate_pool(db, q, m, k)
+        np.testing.assert_array_equal(pool, rows)
+        np.testing.assert_array_equal(taken, copies)
         assert len(calls) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(_pool_cases())
-    @example(_FOLD_CASES["equidistant"][0])
-    def test_fold_groups_identical_rows_in_order_of_appearance(self, case):
+    @example(_POOL_CASES["equidistant"][0])
+    @example(_POOL_CASES["cut_in_a_tie"][0])
+    def test_pool_holds_the_first_m_copies_by_distinct_row(self, case):
+        # The reference: every row ranked by the database's own distances,
+        # ties broken by lowest identical index, then counted by value.
         db, q, m, k, _ = case
-        pool, _ = database._candidate_pool(db, q, m, k)
-        heads, group = database._twin_groups(db.twins[pool])
-        expected_heads, expected_group = _fold_by_value(db.patches[pool])
-        np.testing.assert_array_equal(heads, expected_heads)
-        np.testing.assert_array_equal(group, expected_group)
+        pool, c, copies = database._candidate_pool(db, q, m, k)
+        dists = database._query_distances(db, q)
+        heads = _lowest_identical(db.patches)
+        first = heads[_by_copies(heads, dists)[:m]]
+        rows, at = np.unique(first, return_index=True)
+        np.testing.assert_array_equal(pool, rows[np.argsort(at)])
+        np.testing.assert_array_equal(copies, [np.sum(first == i) for i in pool])
+        np.testing.assert_array_equal(c, dists[pool])
 
     @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
     def test_huge_or_non_finite_values_raise_without_warnings(self, rng, bad):
@@ -856,22 +968,24 @@ class TestCrossSimilarityRefinement:
 
     def test_pool_sums_match_cdist(self, rng):
         # Rows along (3, 4, 0, ...): every pair distance is an integer, so
-        # the folded sums are exact and equal cdist's bit for bit. Rows s and
-        # -s are equidistant from 0 but distinct, so the pool folds by value.
+        # the sums weighted by copies are exact and equal cdist's over every
+        # copy bit for bit. Rows s and -s are equidistant from 0 but distinct.
         steps = rng.integers(-20, 21, 200).astype(float)
         patches = np.zeros((200, 64))
         patches[:, 0], patches[:, 1] = 3 * steps, 4 * steps
         db = Database(patches, 8)
-        pool, _ = database._candidate_pool(db, np.zeros(64), 200, 1)
-        rows = patches[pool]
-        np.testing.assert_array_equal(database._pool_sums(db, pool),
-                                      cdist(rows, rows).sum(axis=1))
+        pool, _, copies = database._candidate_pool(db, np.zeros(64), 200, 1)
+        assert copies.sum() == 200 and len(pool) == len(np.unique(steps))
+        every = patches[np.repeat(pool, copies)]
+        np.testing.assert_array_equal(database._pool_sums(db, pool, copies),
+                                      cdist(patches[pool], every).sum(axis=1))
         # On other integer rows the distances are cdist's, summed in
         # another order.
         db = Database(np.round(100.0 * rng.standard_normal((200, 64))), 8)
-        pool, _ = database._candidate_pool(db, rng.standard_normal(64), 200, 1)
+        pool, _, copies = database._candidate_pool(db, rng.standard_normal(64),
+                                                   200, 1)
         rows = db.patches[pool]
-        np.testing.assert_allclose(database._pool_sums(db, pool),
+        np.testing.assert_allclose(database._pool_sums(db, pool, copies),
                                    cdist(rows, rows).sum(axis=1), rtol=2.0**-44)
 
     def test_matches_cdist_reference_with_score_ties(self, rng):
@@ -882,7 +996,8 @@ class TestCrossSimilarityRefinement:
         for tau in (0.0, 0.05, 1.0):
             for _ in range(5):
                 q = np.round(10.0 * rng.standard_normal(16))
-                expected, scores = _cross_similarity_with_cdist(db, q, 30, 9, tau)
+                expected, _, scores = _cross_similarity_with_cdist(db, q, 30, 9,
+                                                                   tau)
                 assert len(np.unique(scores)) < len(scores)
                 np.testing.assert_array_equal(
                     refine_cross_similarity(db, q, 30, 9, tau), expected
@@ -982,20 +1097,19 @@ class TestFirstPassRefinement:
             assert selected_value <= sum(scores[j] for j in subset) + 1e-12
 
     def test_score_ties_break_by_database_index(self):
-        # Three zero patches tie on both distances; one distant decoy ranks
-        # last. The two winners must be the lowest-index zero patches.
-        zeros = np.zeros((1, 4))
+        # Three distinct rows, equally far apart, tie on both distances and
+        # on their pool sums; one distant decoy ranks last. The two winners
+        # must be the lowest-index of the three. Three zero patches are one
+        # row, taken twice.
         far = np.full((1, 4), 100.0)
-        patches = np.vstack([far, zeros, zeros, zeros])
-        db = Database(patches=patches, patch_size=2)
-        q = np.full(4, 1.0)
-        pbar = np.full(4, 2.0)
-        np.testing.assert_array_equal(
-            refine_first_pass(db, q, pbar, 4, 2, 0.5), [1, 2]
-        )
-        np.testing.assert_array_equal(
-            refine_cross_similarity(db, q, 4, 2, 0.5), [1, 2]
-        )
+        q, pbar = np.full(4, 1.0), np.full(4, 2.0)
+        for rows, expected in ((3.0 * np.eye(4)[[2, 0, 1]], [1, 2]),
+                               (np.zeros((3, 4)), [1, 1])):
+            db = Database(patches=np.vstack([far, rows]), patch_size=2)
+            np.testing.assert_array_equal(
+                refine_first_pass(db, q, pbar, 4, 2, 0.5), expected)
+            np.testing.assert_array_equal(
+                refine_cross_similarity(db, q, 4, 2, 0.5), expected)
 
     def test_good_pilot_beats_plain_knn(self, rng):
         # Candidates split into close-to-truth and decoys; with a noisy query

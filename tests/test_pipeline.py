@@ -206,9 +206,9 @@ class TestDenoiseImage:
         def screened_blocks(threads):
             blocks = []
 
-            def spy(index, queries):
+            def spy(index, queries, m):
                 blocks.append(np.stack(queries).tobytes())
-                return screen(index, queries)
+                return screen(index, queries, m)
 
             monkeypatch.setattr(dbmod, "screen", spy)
             denoise_image(noisy, db, cfg, threads=threads)
@@ -331,32 +331,26 @@ class TestDenoiseImage:
                                             threads=threads)
                 assert np.abs(full - ours).max() <= bound, rule
 
-    def test_pool_fold_by_twin_id_is_the_fold_by_value(self, tiny_scene,
-                                                        monkeypatch):
-        # The blocky scene's pools hold many twins, and most fold. Each
-        # patch's candidates carry the whole database's twin ids (take), and
-        # folding by them must group a pool as folding it by value does, in
-        # order of first appearance, at 1 and 2 threads.
+    def test_pool_copies_are_the_count_by_value(self, tiny_scene, monkeypatch):
+        # The blocky scene's pools hold many copies of a row. Each patch's
+        # candidates are rows distinct by value that carry the whole
+        # database's counts (take); each pool takes pool_size copies, and
+        # most take more than one of some row, at 1 and 2 threads alike.
         clean, db = tiny_scene
         noisy = add_gaussian_noise(clean, 40.0, 15)
         cfg = _tiny_cfg(sigma=40.0, selection="cross_similarity",
                         rule="bm3d_pilot")
-        folded, sums = [], dbmod._pool_sums
+        repeated, sums = [], dbmod._pool_sums
 
-        def by_value(sub, pool):
-            first = {}
-            group = np.array([first.setdefault(tuple(row + 0.0), len(first))
-                              for row in sub.patches[pool]])
-            heads = [list(group).index(g) for g in range(len(first))]
-            fold = dbmod._twin_groups(sub.twins[pool])
-            folded.append(len(heads) < len(pool))
-            np.testing.assert_array_equal(fold[0], heads)
-            np.testing.assert_array_equal(fold[1], group)
-            return sums(sub, pool)
+        def by_value(sub, pool, copies):
+            assert copies.sum() == cfg.pool_size
+            assert len({tuple(row + 0.0) for row in sub.patches}) == len(sub)
+            repeated.append(copies.max() > 1)
+            return sums(sub, pool, copies)
 
         monkeypatch.setattr(dbmod, "_pool_sums", by_value)
         runs = [denoise_image(noisy, db, cfg, threads=t)[0] for t in (1, 2)]
-        assert folded.count(True) > folded.count(False)
+        assert repeated.count(True) > repeated.count(False)
         assert runs[0].tobytes() == runs[1].tobytes()
 
     def test_output_is_the_same_at_one_and_two_blas_threads(self, fresh_python):
@@ -476,10 +470,10 @@ class TestPassThreads:
         screen, patch = dbmod.screen, pipeline.denoise_patch
         events = []
 
-        def screen_spy(index, queries):
+        def screen_spy(index, queries, m):
             events.append(("screen", threading.get_ident(),
                            np.stack(queries).tobytes(), threading.active_count()))
-            return screen(index, queries)
+            return screen(index, queries, m)
 
         def patch_spy(*args, **kwargs):
             count = threading.active_count()
@@ -595,13 +589,14 @@ class TestScreenKeptWithDatabase:
         noisy = add_gaussian_noise(clean, 15.0, 8)
         for _ in range(2):
             denoise_image(noisy, db, _tiny_cfg(sigma=15.0))
-        assert screen_builds == [20]
+        assert screen_builds == [db]
 
     def test_sweep_builds_the_index_once(self, tiny_scene, screen_builds):
         clean, db = tiny_scene
-        rows = run_sweep(clean, _fresh_copy(db), _tiny_cfg(),
+        db = _fresh_copy(db)
+        rows = run_sweep(clean, db, _tiny_cfg(),
                          sigmas=[15.0, 25.0], rules=["bayes", "lpg"])
-        assert len(rows) == 4 and screen_builds == [20]
+        assert len(rows) == 4 and screen_builds == [db]
 
     @pytest.mark.parametrize("threads", [0, -2, 2.5, "2", True])
     def test_bad_threads_rejected_before_any_work(self, tiny_scene, screen_builds,
@@ -618,16 +613,19 @@ class TestScreenKeptWithDatabase:
                       threads=threads)
         assert screen_builds == [] and noised == []
 
-    def test_a_new_m_rebuilds_the_index(self, tiny_scene, screen_builds):
+    def test_every_m_and_the_quality_share_one_index(self, tiny_scene,
+                                                     screen_builds):
+        # The index holds each distinct row once, whatever m a search takes.
         clean, db = tiny_scene
         db = _fresh_copy(db)
         noisy = add_gaussian_noise(clean, 15.0, 8)
-        for pool_size in (20, 20, 30, 30, 20):
+        denoise_image(noisy, db, _tiny_cfg(sigma=15.0))
+        index = db._screen
+        for pool_size in (30, 20):
             denoise_image(noisy, db, _tiny_cfg(sigma=15.0, pool_size=pool_size))
         dbmod.database_quality(db, clean)
-        dbmod.database_quality(db, clean)
-        denoise_image(noisy, db, _tiny_cfg(sigma=15.0))
-        assert screen_builds == [20, 30, 20, 1, 20]
+        assert db._screen is index and screen_builds == [db]
+        assert len(index.rows) == np.count_nonzero(db.counts) < len(db)
 
     def test_kept_index_matches_a_fresh_copy(self, tiny_scene):
         clean, db = tiny_scene
@@ -651,9 +649,9 @@ class TestScreenKeptWithDatabase:
         with pytest.raises(ValueError, match="read-only"):
             db.patches[0, 0] = 0  # read-only before the first search
         denoise_image(clean, db, _tiny_cfg())
-        index = dbmod._screen_of(db, 20)
+        index = dbmod._screen_of(db)
         for array in (db.patches, index.rows, index.table, index.norms,
-                      db.norms, db.twins):
+                      db.norms, db.counts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         copy = db.patches.copy()
@@ -676,20 +674,21 @@ class TestScreenKeptWithDatabase:
                 noisy, Database(rows.astype(np.float64), 8), cfg)
             assert out.tobytes() == expected.tobytes()
 
-    def test_database_of_at_most_m_rows_screens_to_every_row(self, tiny_scene,
-                                                            monkeypatch):
+    def test_database_of_at_most_m_rows_screens_to_every_distinct_row(
+            self, tiny_scene, monkeypatch):
         clean, db = tiny_scene
         noisy = add_gaussian_noise(clean, 15.0, 8)
         small = Database(patches=db.patches[:: len(db) // 30], patch_size=4)
-        for pool_size in (len(small), 40):
-            index = dbmod.screen_index(small, pool_size)
-            assert index.table is not None
-            for rows in dbmod.screen(index, small.patches[:5] + 1.0):
-                np.testing.assert_array_equal(rows, np.arange(len(small)))
+        index = dbmod.screen_index(small)
+        distinct = np.flatnonzero(small.counts)
+        assert index.table is not None and len(distinct) < len(small)
+        for pool_size in (len(distinct), len(small), 40):
+            for rows in dbmod.screen(index, small.patches[:5] + 1.0, pool_size):
+                np.testing.assert_array_equal(rows, distinct)
         cfg = _tiny_cfg(sigma=15.0, pool_size=len(small))
         screened, _ = denoise_image(noisy, small, cfg)
         monkeypatch.setattr(dbmod, "screen",
-                            lambda index, queries: [None] * len(queries))
+                            lambda index, queries, m: [None] * len(queries))
         whole, _ = denoise_image(noisy, _fresh_copy(small), cfg)
         assert screened.tobytes() == whole.tobytes()
 
