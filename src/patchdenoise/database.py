@@ -11,7 +11,9 @@ per copy taken.
 
 A search distance is ‖x − q‖ = √max(‖x‖² − 2x·q + ‖q‖², 0) in float64, from
 one BLAS dot product per row (np.vecdot), which reads a contiguous row the
-same way wherever it sits: identical rows get identical distances.
+same way wherever it sits: identical rows get identical distances. The
+pipeline searches only the candidate rows of the screen, which rejects
+patches above 32 x 32 and R + ‖q‖ >= 2**60 (R the largest row norm).
 """
 
 from __future__ import annotations
@@ -228,15 +230,15 @@ def k_smallest(values: np.ndarray, k: int) -> np.ndarray:
 def knn(db: Database, q, k: int) -> np.ndarray:
     """The k nearest database patches to q by Euclidean distance.
 
-    Ranks distinct rows by distance, ties broken by lower index, and takes
-    their copies (db.counts) in that order: each chosen row's lowest index
-    once per copy, k in all. A query or row that is not finite, or whose
-    squared norm reaches 2**1020, raises ValueError.
+    The pool of k copies (_candidate_pool): distinct rows ranked by distance,
+    ties broken by lower index, each chosen row's lowest index once per copy
+    taken. A query or row that is not finite, or whose squared norm reaches
+    2**1020, raises ValueError.
     """
     if not 1 <= k <= db._copies:
         raise ValueError(f"k must be in [1, {db._copies}], got {k}")
-    nearest = k_smallest(_query_distances(db, q), k)
-    return np.repeat(nearest, np.minimum(db.counts[nearest], k))[:k]
+    pool, _, copies = _candidate_pool(db, q, k, k)
+    return np.repeat(pool, copies)
 
 
 def cross_similarity_scores(c: np.ndarray, sums: np.ndarray, tau: float) -> np.ndarray:
@@ -252,19 +254,20 @@ def _check_tau(tau: float) -> None:
 def _candidate_pool(db: Database, q, pool_size: int, k: int):
     """The pool_size nearest copies, as knn(db, q, pool_size) takes them:
     the distinct rows, in rank order, their query distances, and the copies
-    taken of each (the last row's may be fewer than its count)."""
+    taken of each (the last row's may be fewer than its count). It ranks
+    one more row per row of count 0, which a take may hold anywhere."""
     if k > pool_size:
         raise ValueError(f"k ({k}) must not exceed pool_size ({pool_size})")
     if pool_size > db._copies:
         raise ValueError(f"pool_size ({pool_size}) exceeds {db._copies} copies")
     dists = _query_distances(db, q)
-    pool = k_smallest(dists, pool_size)
+    pool = k_smallest(dists, pool_size + len(db) - np.count_nonzero(db.counts))
     copies = db.counts[pool]
     over = np.cumsum(copies) - pool_size  # >= 0 from the row that fills the pool
     end = int(np.searchsorted(over, 0)) + 1
     pool, copies = pool[:end], copies[:end]
     copies[-1] -= over[end - 1]
-    if not copies.all():  # rows of count 0 follow their lowest-index copy
+    if not copies.all():
         pool, copies = pool[copies > 0], copies[copies > 0]
     return pool, dists[pool], copies
 
@@ -384,13 +387,12 @@ class ScreenIndex:
     rows: ascending database indices of the distinct rows, each the lowest
     index of its copies (a nonzero count). table: those rows as one
     contiguous (d, r) float32 array, and norms: their half norms ½‖x‖² in
-    float32; both are None when every query searches the whole database.
-    radius: R, the largest row norm.
+    float32. radius: R, the largest row norm, below _GUARD.
     """
 
     rows: np.ndarray
-    table: np.ndarray | None
-    norms: np.ndarray | None
+    table: np.ndarray
+    norms: np.ndarray
     radius: float
 
 
@@ -399,18 +401,19 @@ def screen_index(db: Database) -> ScreenIndex:
 
     The distinct rows (db.counts, which also rejects a non-finite database)
     are gathered into the float32 table _CHUNK_ROWS at a time, so they are
-    never all copied in float64 at once. No table is built when R reaches
-    _GUARD (no value outside float32 range is ever cast) or when d exceeds
-    _MAX_DIM: screen then returns None, the whole database, for every query.
+    never all copied in float64 at once. screen's tol covers patches up to
+    32 x 32 (d <= _MAX_DIM) and R below _GUARD, within float32 range; past
+    either limit this raises ValueError.
     """
+    if db.patches.shape[1] > _MAX_DIM:
+        raise ValueError(f"patch size {db.patch_size} exceeds the screen's limit of 32")
     rows = _read_only(np.flatnonzero(db.counts))
     norms = db.norms[rows]
     # Every row has a copy among the distinct rows: this is the largest norm.
     radius = float(np.sqrt(np.max(norms)))
-    d = db.patches.shape[1]
-    if not radius < _GUARD or d > _MAX_DIM:
-        return ScreenIndex(rows, None, None, radius)
-    table = np.empty((d, len(rows)), dtype=np.float32)
+    if not radius < _GUARD:
+        raise ValueError(f"patch norm {radius:.3g} reaches the screen's limit of 2**60")
+    table = np.empty((db.patches.shape[1], len(rows)), dtype=np.float32)
     for start in range(0, len(rows), _CHUNK_ROWS):
         part = rows[start : start + _CHUNK_ROWS]
         table[:, start : start + len(part)] = db.patches[part].T
@@ -443,12 +446,10 @@ def screen(index: ScreenIndex, queries, m: int) -> list:
     in index order reproduces that order exactly. The m nearest rows are
     copies of at most m distinct rows, all among the m nearest distinct
     rows, so the kept rows serve every search that takes at most m copies.
-    None means the whole database: for every query when the index has no
-    table, and for a query with R + ‖q‖ >= _GUARD, which is never cast to
-    float32. queries is an (n, d) array: no queries give [], and another
-    shape raises ValueError when the index has a table; m < 1 raises
-    ValueError. Each query's threshold comes from its own score row, so the
-    block's scores are the only array of their size it holds.
+    queries is an (n, d) array: no queries give []; another shape, m < 1 and
+    a query that is not finite or has R + ‖q‖ >= _GUARD (never cast to
+    float32) raise ValueError. Each query's threshold comes from its own
+    score row, so the block's scores are the only array of their size it holds.
 
     tol bounds the rounding. Let u = 2**-24 and η = 2**-126: one float32
     rounding, with gradual underflow or flush-to-zero, errs by at most
@@ -483,22 +484,20 @@ def screen(index: ScreenIndex, queries, m: int) -> list:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     queries = np.asarray(queries, dtype=np.float64)
-    if index.table is None or len(queries) == 0:
-        return [None] * len(queries)
+    if len(queries) == 0:
+        return []
     d, m = len(index.table), min(m, len(index.rows))
     if queries.ndim != 2 or queries.shape[1] != d:
         raise ValueError(f"queries of shape {queries.shape} do not match "
                          f"the index's (n, {d})")
     reach = index.radius + np.sqrt(np.einsum("ij,ij->i", queries, queries))
-    near = np.flatnonzero(reach < _GUARD)  # NaN and inf fail too
-    h = queries[near].astype(np.float32) @ index.table
+    if not reach.max() < _GUARD:  # NaN and inf fail too
+        raise ValueError("queries must be finite with R + ‖q‖ below 2**60")
+    h = queries.astype(np.float32) @ index.table
     np.subtract(index.norms, h, out=h)
-    tol = (d + 12) * 2.0**-25 * reach[near] ** 2 + d * 2.0**-121
-    out = [None] * len(queries)
-    for i, row, t in zip(near, h, tol):
-        cut = np.float32(np.partition(row, m - 1)[m - 1] + t)
-        out[i] = index.rows[np.flatnonzero(row <= cut)]
-    return out
+    tol = (d + 12) * 2.0**-25 * reach**2 + d * 2.0**-121
+    cuts = (np.float32(np.partition(row, m - 1)[m - 1] + t) for row, t in zip(h, tol))
+    return [index.rows[np.flatnonzero(row <= cut)] for row, cut in zip(h, cuts)]
 
 
 def compute_weights(q, selected, h: float) -> np.ndarray:
@@ -532,7 +531,8 @@ def database_quality(db: Database, clean) -> float:
     the mean over i. Zero iff every clean patch appears in the database.
     The screen kept with db (m = 1) narrows each patch to candidate rows
     that hold its nearest, measured by row differences: the search's
-    ‖x‖² − 2x·q + ‖q‖² would lose them for rows far from the origin.
+    ‖x‖² − 2x·q + ‖q‖² would lose them for rows far from the origin. Past
+    the screen's limits (patches above 32 x 32, 2**60) it raises ValueError.
     """
     clean = as_image(clean)
     h, w = clean.shape
@@ -543,8 +543,7 @@ def database_quality(db: Database, clean) -> float:
     for start in range(0, len(dense), SCREEN_BLOCK):
         block = dense[start : start + SCREEN_BLOCK]
         for i, rows in enumerate(screen(index, block, 1), start):
-            candidates = db.patches if rows is None else db.patches[rows]
-            nearest[i] = _nearest(candidates, dense[i])
+            nearest[i] = _nearest(db.patches[rows], dense[i])
     return nearest.sum() / (len(dense) * np.sqrt(db.patches.shape[1]))
 
 

@@ -246,8 +246,7 @@ def _run_pass(noisy, db, cfg, stride, pilot_image, clean, worker, index):
                 pilot = extract_patch(pilot_image, locs[i], p)
             if cfg.rule == "oracle":
                 truth = extract_patch(clean, locs[i], p)
-            sub = db if cand is None else db.take(cand)
-            estimates[i] = denoise_patch(q, sub, cfg, pilot=pilot, truth=truth)
+            estimates[i] = denoise_patch(q, db.take(cand), cfg, pilot, truth)
 
     blocks = map(screened, range(0, len(locs), dbmod.SCREEN_BLOCK))
     if worker is None:
@@ -268,6 +267,7 @@ def denoise_image(
 
     The clean image is used only for metrics and for the 'oracle' rule.
     threads >= 2 runs both passes on the caller and one worker: same output.
+    A database past the screen's limits raises ValueError before any patch.
     """
     _check_threads(threads)
     noisy = as_image(noisy)

@@ -153,6 +153,24 @@ class TestDenoiseCommand:
         assert screen_builds == []
         assert not out.exists() and not report.exists()
 
+    def test_patches_above_32_by_32_are_usage_error(self, tmp_path, rng, capsys):
+        # The search screen's rounding bound covers patches up to 32 x 32.
+        image = np.round(255.0 * rng.random((40, 40)))
+        (tmp_path / "db").mkdir()
+        for i in range(2):
+            page = image.T if i else image
+            (tmp_path / "db" / f"page{i}.pgm").write_bytes(write_pgm(page))
+        (tmp_path / "noisy.pgm").write_bytes(write_pgm(image))
+        out, report = tmp_path / "o.pgm", tmp_path / "r.json"
+        code = main(["denoise", "--input", str(tmp_path / "noisy.pgm"),
+                     "--db", str(tmp_path / "db"), "--sigma", "15",
+                     "--patch-size", "33", "--db-stride", "4", "--k", "4",
+                     "--pool", "8", "--out", str(out), "--report", str(report)])
+        assert code == 2
+        assert ("patch size 33 exceeds the screen's limit of 32"
+                in capsys.readouterr().err)
+        assert not out.exists() and not report.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("stride1", 9, "stride 9 > patch_size 4 breaks coverage"),
         ("patch-size", 0, "patch_size must be >= 1"),

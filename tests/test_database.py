@@ -270,7 +270,7 @@ class TestKSmallest:
 # Integer values tie often and stay exact; signed zeros must count as equal;
 # large magnitudes make the GEMM round, which the screen's tol must absorb.
 # 0.1, 1/3 and 2**24 + 1 round when cast to float32, 2**-140 is subnormal
-# there, and 2**61 puts R + ‖q‖ past the guard, so the query is not screened.
+# there, and 2**61 puts R + ‖q‖ past the guard, so the screen rejects it.
 _GUARD = 2.0**60
 _SCREEN_VALUES = st.one_of(
     st.integers(-3, 3).map(float),
@@ -317,6 +317,16 @@ _SUBNORMAL_SCORES = (
 )
 
 
+def _rejected_past_guard(db, q) -> bool:
+    """Whether a value of db or q is past the guard, where the screen must
+    reject them: db in screen_index, q in screen."""
+    if np.abs(np.r_[db.patches.ravel(), q]).max() <= _GUARD:
+        return False
+    with pytest.raises(ValueError, match=r"2\*\*60"):
+        screen(screen_index(db), [q], 1)
+    return True
+
+
 class TestScreen:
     @settings(max_examples=200, deadline=None)
     @given(_screen_cases())
@@ -324,14 +334,11 @@ class TestScreen:
     @example(_SUBNORMAL_SCORES)
     def test_candidates_reproduce_every_search(self, case):
         db, q, pilot = case
-        past_guard = np.abs(np.r_[db.patches.ravel(), q]).max() > _GUARD
+        if _rejected_past_guard(db, q):
+            return
         index = screen_index(db)
         for m in range(1, len(db) + 2):
             (rows,) = screen(index, [q], m)
-            # None: the whole database
-            assert (rows is None) == past_guard
-            if rows is None:
-                continue
             if m >= len(index.rows):  # every distinct row is kept
                 np.testing.assert_array_equal(rows, np.flatnonzero(db.counts))
             if m > len(db):
@@ -355,29 +362,33 @@ class TestScreen:
         # The reference is the float64 search distance over the distinct
         # rows; near-ties there must not push one of its first m out.
         db, q, _ = case
+        if _rejected_past_guard(db, q):
+            return
         distinct = np.flatnonzero(db.counts)
         distances = database._query_distances(db, q)[distinct]
         index = screen_index(db)
         for m in range(1, len(db)):
             (rows,) = screen(index, [q], m)
-            if rows is not None:
-                assert set(distinct[k_smallest(distances, m)]) <= set(rows)
+            assert set(distinct[k_smallest(distances, m)]) <= set(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(_screen_cases())
     def test_table_holds_each_distinct_row_once(self, case):
         db, _, _ = case
         P = db.patches
+        if np.abs(P).max() > _GUARD:
+            with pytest.raises(ValueError, match=r"limit of 2\*\*60"):
+                screen_index(db)
+            return
         below = np.array([np.sum(np.all(P[:i] == P[i], axis=1))
                           for i in range(len(db))])
         index = screen_index(db)
         np.testing.assert_array_equal(index.rows, np.flatnonzero(below == 0))
         assert index.radius == np.sqrt(np.vecdot(P, P).max())
-        if index.table is not None:
-            kept = P[index.rows]
-            np.testing.assert_array_equal(index.table, kept.T.astype(np.float32))
-            np.testing.assert_array_equal(
-                index.norms, (0.5 * np.vecdot(kept, kept)).astype(np.float32))
+        kept = P[index.rows]
+        np.testing.assert_array_equal(index.table, kept.T.astype(np.float32))
+        np.testing.assert_array_equal(
+            index.norms, (0.5 * np.vecdot(kept, kept)).astype(np.float32))
 
     def test_table_keeps_the_lowest_index_copy(self, rng):
         row = np.round(10.0 * rng.standard_normal(16))
@@ -397,24 +408,46 @@ class TestScreen:
         for rows in screen(screen_index(db), queries, 50):
             assert 50 <= len(rows) < 60
 
-    def test_huge_magnitudes_search_the_whole_database(self, rng):
+    def test_huge_magnitudes_are_rejected(self, rng):
         # Nothing past the guard is cast to float32, so nothing overflows.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             huge = 1e150 * rng.integers(-3, 4, (30, 16)).astype(float)
             db = Database(patches=huge, patch_size=4)
-            index = screen_index(db)
-            assert index.table is None
-            assert screen(index, db.patches[:2], 5) == [None, None]
-            # Within the guard, the database is screened, and only the query
-            # past it searches the whole database.
+            with pytest.raises(ValueError, match=r"patch norm \S+ reaches "
+                                                 r"the screen's limit of 2\*\*60"):
+                screen_index(db)
+            with pytest.raises(ValueError, match=r"limit of 2\*\*60"):
+                database._screen_of(db)
+            assert db._screen is None
+            # The searches themselves take any rows within _NORM_LIMIT.
+            assert knn(db, huge[0], 5)[0] == 0
+            # Within the guard, the database is screened, and a block that
+            # holds a query past it, or a query that is not finite, raises.
             small = _random_db(rng, n=30)
             index = screen_index(small)
-            far, near = screen(index, [huge[0], small.patches[3]], 5)
-            assert far is None and screen(index, huge[:1], 5) == [None]
+            for queries in ([huge[0], small.patches[3]], huge[:1],
+                            [np.full(16, np.nan)], [np.full(16, np.inf)]):
+                with pytest.raises(ValueError, match=r"queries must be finite "
+                                                     r"with R \+ ‖q‖ below 2\*\*60"):
+                    screen(index, queries, 5)
+            (near,) = screen(index, [small.patches[3]], 5)
             sub = small.take(near)
             np.testing.assert_array_equal(near[knn(sub, small.patches[3], 5)],
                                           knn(small, small.patches[3], 5))
+
+    def test_patches_above_32_by_32_are_rejected(self, rng):
+        # screen's tol assumes d·2**-24 <= 2**-14, that is d <= 1,024.
+        db = Database(patches=rng.standard_normal((5, 33 * 33)), patch_size=33)
+        with pytest.raises(ValueError, match="patch size 33 exceeds the "
+                                             "screen's limit of 32"):
+            database._screen_of(db)
+        assert db._screen is None and "counts" not in vars(db)
+        assert knn(db, db.patches[2], 1)[0] == 2
+        largest = Database(patches=rng.standard_normal((5, 32 * 32)),
+                           patch_size=32)
+        (rows,) = screen(screen_index(largest), largest.patches[:1], 1)
+        assert rows[0] == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     def test_non_finite_rows_rejected(self, rng, bad):
@@ -672,6 +705,26 @@ def _as_multiset(rows):
     return sorted(map(tuple, rows + 0.0))
 
 
+@st.composite
+def _take_cases(draw):
+    """(sub, q, pilot, m, k, tau, line): a take of a _copy_cases database's
+    rows in any order, so a copy of count 0 may come ahead of its
+    lowest-index row or without it; m and k are within its copies."""
+    db, q, pilot, _, _, tau, line = draw(_copy_cases())
+    rows = draw(st.lists(st.integers(0, len(db) - 1), min_size=1,
+                         max_size=len(db), unique=True))
+    sub = db.take(rows)
+    m = draw(st.integers(1, max(sub._copies, 1)))
+    return sub, q, pilot, m, draw(st.integers(1, m)), tau, line
+
+
+# Row 2 copies row 0, so its count is 0; the take puts it first, without
+# row 0, and nearest to the query: it must stand for nothing.
+_COPY_WITHOUT_ITS_ROW = (
+    Database(np.array([[3.0, 4, 0, 0], [6, 8, 0, 0], [3, 4, 0, 0]]), 2).take([2, 1]),
+    np.array([3.0, 4, 0, 0]), np.zeros(4), 1, 1, 1.0, True)
+
+
 class TestSearchByCounts:
     @settings(max_examples=300, deadline=None)
     @given(_copy_cases())
@@ -711,6 +764,45 @@ class TestSearchByCounts:
                 assert _as_multiset(P[selected]) == _as_multiset(P[before]), name
             np.testing.assert_array_equal(
                 screened[search(db.take(screened))], selected, name)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(_take_cases())
+    @example(_COPY_WITHOUT_ITS_ROW)
+    def test_takes_in_any_order_select_k_counted_copies(self, case):
+        # Brute force over the take's rows that count: one stable sort by
+        # (distance, index), each row repeated by its count; a pool is its
+        # first m copies, and a refinement takes the pool's k best copies by
+        # (score, index). Copies of count 0 stand for nothing.
+        sub, q, pilot, m, k, tau, line = case
+        if not sub._copies:
+            with pytest.raises(ValueError, match=r"k must be in \[1, 0\]"):
+                knn(sub, q, k)
+            return
+        P = sub.patches
+        c = cdist(q[None, :], P)[0]
+        live = np.flatnonzero(sub.counts)
+        ranked = live[np.argsort(c[live], kind="stable")]
+        copies = np.repeat(ranked, sub.counts[ranked])
+        pool = copies[:m]
+        keys = {
+            "first_pass": c[pool] + tau * cdist(pilot[None, :], P[pool])[0],
+            "cross_similarity": cross_similarity_scores(
+                c[pool], cdist(P[pool], P[pool]).sum(axis=0), tau),
+        }
+        selected = {
+            "knn": (knn(sub, q, k), copies[:k]),
+            "first_pass": (refine_first_pass(sub, q, pilot, m, k, tau),
+                           pool[np.lexsort((pool, keys["first_pass"]))[:k]]),
+            "cross_similarity": (
+                refine_cross_similarity(sub, q, m, k, tau),
+                pool[np.lexsort((pool, keys["cross_similarity"]))[:k]]),
+        }
+        if not line:  # pair distances round, so pool sums may tie differently
+            del selected["cross_similarity"]
+        for name, (got, expected) in selected.items():
+            assert len(got) == k and sub.counts[got].all(), name
+            np.testing.assert_array_equal(got, expected, name)
 
 
 def _by_copies(heads, keys):

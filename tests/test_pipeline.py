@@ -681,14 +681,14 @@ class TestScreenKeptWithDatabase:
         small = Database(patches=db.patches[:: len(db) // 30], patch_size=4)
         index = dbmod.screen_index(small)
         distinct = np.flatnonzero(small.counts)
-        assert index.table is not None and len(distinct) < len(small)
+        assert len(distinct) < len(small)
         for pool_size in (len(distinct), len(small), 40):
             for rows in dbmod.screen(index, small.patches[:5] + 1.0, pool_size):
                 np.testing.assert_array_equal(rows, distinct)
         cfg = _tiny_cfg(sigma=15.0, pool_size=len(small))
         screened, _ = denoise_image(noisy, small, cfg)
         monkeypatch.setattr(dbmod, "screen",
-                            lambda index, queries, m: [None] * len(queries))
+                            lambda index, queries, m: [index.rows] * len(queries))
         whole, _ = denoise_image(noisy, _fresh_copy(small), cfg)
         assert screened.tobytes() == whole.tobytes()
 
@@ -703,6 +703,33 @@ class TestScreenKeptWithDatabase:
         fresh, _ = denoise_image(noisy, _fresh_copy(view), _tiny_cfg(sigma=15.0))
         assert second.tobytes() == fresh.tobytes() == first.tobytes()
         assert not np.shares_memory(view.patches, base)
+
+    @pytest.mark.parametrize("limit", ["norm", "size"])
+    def test_unscreenable_database_rejected_before_any_patch(
+            self, tiny_scene, monkeypatch, limit):
+        # A row norm of 2**60 or more, or patches above 32 x 32, are past
+        # what the screen's rounding bound covers.
+        clean, db = tiny_scene
+        if limit == "norm":
+            bad, cfg = Database(db.patches * 2.0**55, 4), _tiny_cfg()
+            message = r"patch norm \S+ reaches the screen's limit of 2\*\*60"
+        else:
+            clean = np.tile(clean, (2, 2))[:40, :40]
+            bad = build_database([clean, clean.T], 33, 1)
+            cfg = _tiny_cfg(patch_size=33)
+            message = "patch size 33 exceeds the screen's limit of 32"
+        calls = []
+        screen, extract = dbmod.screen, pipeline.extract_patch
+        monkeypatch.setattr(dbmod, "screen",
+                            lambda *args: calls.append("screen") or screen(*args))
+        monkeypatch.setattr(pipeline, "extract_patch",
+                            lambda *args: calls.append("extract") or extract(*args))
+        with pytest.raises(ValueError, match=message):
+            denoise_image(clean, bad, cfg)
+        assert calls == [] and bad._screen is None
+        with pytest.raises(ValueError, match=message):
+            dbmod.database_quality(bad, clean)
+        assert calls == [] and bad._screen is None
 
     def test_rejected_database_keeps_no_index(self, tiny_scene):
         clean, db = tiny_scene
